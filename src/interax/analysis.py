@@ -252,7 +252,7 @@ def aggregate_crosses(games: list[Game], k: int, aggregation: str = "mean",
     results: list[IndexResult] = []
     for game in games:
         if plan is None:
-            results.append(stv_exact(game, k, threads=threads))
+            results.append(stv_exact(game, k))
         else:
             results.append(stv_sampled(game, k, plan, threads=threads))
 

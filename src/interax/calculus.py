@@ -10,6 +10,7 @@ respect to T at the empty set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -142,6 +143,86 @@ def mobius_dense(game: Game) -> np.ndarray:
         view[:, 1, :] -= view[:, 0, :]
     out.setflags(write=False)
     return game.derived.setdefault("mobius_dense", out)
+
+
+def superset_view(game: Game, subset) -> np.ndarray:
+    """The Mobius coefficients a(T) of every superset T of S, as a flat array.
+
+    Entry j holds a(S | T') where bit i of j stands for the i-th smallest
+    player outside S, so popcounts(view.size) gives |T| - |S| per entry.
+    """
+    n = game.n
+    s_mask = as_mask(subset, n)
+    # axis 0 of the cube is the highest player; fixing S's axes at 1 leaves
+    # the other players in order
+    cube = mobius_dense(game).reshape((2,) * n)
+    return cube[tuple(1 if s_mask >> p & 1 else slice(None)
+                      for p in range(n - 1, -1, -1))].reshape(-1)
+
+
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's exact split of a float64
+_BLOCK = 1 << 15  # elements per chunk, to keep the temporaries small
+
+
+def _split(x):
+    c = _SPLITTER * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def weighted_terms(coefs: np.ndarray, sizes: np.ndarray, weights) -> tuple:
+    """weights[sizes] * coefs as a pair (product, error), exact in sum to
+    about twice the working precision.
+
+    Each rational weight is a float plus its residue, and its product with
+    the float is split exactly (Dekker's two-product): where large
+    coefficients cancel, one rounding per term costs more than the sum.
+    """
+    w = np.array([float(x) for x in weights])
+    w_rest = np.array([float(Fraction(x) - Fraction(float(x))) for x in weights])
+    w_high, w_low = _split(w)
+    product, error = np.empty(coefs.size), np.empty(coefs.size)
+    for start in range(0, coefs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        a, size = coefs[block], sizes[block]
+        p = np.multiply(w[size], a, out=product[block])
+        (ah, al), wh, wl = _split(a), w_high[size], w_low[size]
+        error[block] = ((wh * ah - p) + wh * al + wl * ah) + wl * al + w_rest[size] * a
+    return product, error
+
+
+def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
+    """Sum over T containing S of weight(|T|) * a(T), for every S of `size`.
+
+    `weight` maps a size to an exact rational such as a Fraction.  One
+    O(n 2^n) superset-sum butterfly over the cached Mobius coefficients,
+    the mirror of `mobius_dense`, with exact products and compensated
+    additions: each result is the sum of the float coefficients to about
+    the last unit, even where large coefficients cancel.  The order of
+    operations is fixed, so results are bit-reproducible.  Returns
+    {PlayerSet: sum} in ascending mask order.
+    """
+    n = game.n
+    weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
+    high, low = weighted_terms(mobius_dense(game), popcounts(1 << n), weights)
+    for i in range(n):
+        half = 1 << i
+        rows, cols = max(1, _BLOCK // half), min(half, _BLOCK)
+        hv, lv = high.reshape(-1, 2, half), low.reshape(-1, 2, half)
+        for r in range(0, hv.shape[0], rows):
+            for c in range(0, half, cols):
+                x, y = hv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
+                lx, ly = lv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
+                s = x + y  # Knuth's two-sum: the rounding error goes to low
+                z = s - x
+                err = x - (s - z)
+                err += y - z
+                x[...] = s
+                lx += ly
+                lx += err
+    masks = list(masks_of_size(n, size))
+    sums = (high[masks] + low[masks]).tolist()
+    return {PlayerSet(m, n): v for m, v in zip(masks, sums)}
 
 
 def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:

@@ -182,7 +182,6 @@ def _cmd_index(args) -> int:
 
 
 def _compute_index(game: Game, args) -> IndexResult:
-    threads = args.threads or os.cpu_count() or 1
     if args.main_effects and args.method != "sii":
         raise ValueError("--main-effects only applies to --method sii")
     if args.method == "sii":
@@ -191,19 +190,20 @@ def _compute_index(game: Game, args) -> IndexResult:
         if args.main_effects:
             if args.k != 2:
                 raise ValueError("--main-effects is defined for --k 2 only")
-            return indices.sii_main_effects(game, threads=threads)
-        return indices.sii_index(game, args.k, threads=threads)
+            return indices.sii_main_effects(game)
+        return indices.sii_index(game, args.k)
 
     # shapley is the order-1 Taylor index under every backend
     k = 1 if args.method == "shapley" else args.k
     if args.mode == "exact":
-        result = indices.stv_exact(game, k, threads=threads)
+        result = indices.stv_exact(game, k)
     elif args.mode == "oracle":
         result = indices.stv_permutation_oracle(game, k)
     else:
         seed, auto = _resolve_seed(args)
         if auto:
             print(f"seed auto-chosen: {seed}", file=sys.stderr)
+        threads = args.threads or os.cpu_count() or 1
         if args.mode == "sample":
             if args.samples is not None:
                 plan = sampling.SamplingPlan.from_samples(args.samples, seed)
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--format", choices=["csv", "json", "table"],
                          default="table")
     p_index.add_argument("--out", metavar="PATH")
-    p_index.add_argument("--threads", type=int, default=None)
+    p_index.add_argument("--threads", type=int, default=None,
+                         help="worker threads for the sampled modes")
     p_index.set_defaults(func=_cmd_index)
 
     p_verify = sub.add_parser("verify", help="axiom and identity checks")

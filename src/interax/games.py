@@ -113,8 +113,8 @@ def as_mask(subset, n: int) -> int:
 
 
 def popcounts(count: int) -> np.ndarray:
-    """Popcount of every index in range(count), as a small-int array."""
-    return np.bitwise_count(np.arange(count, dtype=np.uint64)).astype(np.int64)
+    """Popcount of every index in range(count) (count <= 2^32), as uint8."""
+    return np.bitwise_count(np.arange(count, dtype=np.uint32))
 
 
 class Game:
@@ -481,17 +481,14 @@ class ExternalGame(Game):
             return val
 
     def close(self):
-        if self._child.poll() is None:
-            try:
-                self._child.stdin.write("QUIT\n")
-                self._child.stdin.flush()
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                self._child.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._child.kill()
-                self._child.wait()
+        """Send QUIT, wait for the child to exit and close both pipes."""
+        if self._child.stdin.closed:
+            return
+        try:
+            self._child.communicate("QUIT\n", timeout=5)
+        except subprocess.TimeoutExpired:
+            self._child.kill()
+            self._child.communicate()
 
     def __enter__(self):
         return self

@@ -23,8 +23,8 @@ from math import comb, fsum
 
 import numpy as np
 
-from .calculus import masks_of_size, mobius_dense
-from .games import Game, as_mask, ids_from_mask, popcounts
+from .calculus import masks_of_size, mobius_dense, superset_sums, superset_view
+from .games import Game, as_mask, popcounts
 
 TAYLOR_LIMIT = 20
 _QUAD_TOL = 1e-9
@@ -62,17 +62,10 @@ def diagonal_partial_poly(game: Game, subset) -> np.ndarray:
     cached = game.derived.get(key)
     if cached is not None:
         return cached
-    n = game.n
-    cube = mobius_dense(game).reshape((2,) * n)
-    axis_player = list(range(n - 1, -1, -1))
-    for player in ids_from_mask(s_mask):
-        axis = axis_player.index(player)
-        cube = cube.take(1, axis=axis)
-        axis_player.pop(axis)
-    supersets = cube.reshape(-1)
+    supersets = superset_view(game, s_mask)
     extra = popcounts(supersets.size)
     poly = np.bincount(extra, weights=supersets,
-                       minlength=n - s_mask.bit_count() + 1)
+                       minlength=game.n - s_mask.bit_count() + 1)
     poly.setflags(write=False)
     return game.derived.setdefault(key, poly)
 
@@ -172,8 +165,11 @@ def taylor_identity_check(game: Game, k: int,
     lower_terms = [float(coefs[s_mask])
                    for j in range(1, k)
                    for s_mask in masks_of_size(n, j)]
-    remainder_terms = [lagrange_remainder_term(game, s_mask, k, remainder_mode)
-                       for s_mask in masks_of_size(n, k)]
+    if remainder_mode == "analytic":
+        remainder_terms = list(superset_sums(game, k, lambda t: Fraction(1, comb(t, k))).values())
+    else:
+        remainder_terms = [lagrange_remainder_term(game, s_mask, k, remainder_mode)
+                           for s_mask in masks_of_size(n, k)]
     lower_total = fsum(lower_terms)
     remainder_total = fsum(remainder_terms)
     rhs = fsum(lower_terms + remainder_terms)

@@ -19,6 +19,7 @@ for derivatives bounded by r in magnitude.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .calculus import iter_submasks, masks_of_size, signed_by_parity
 from .games import Game, PlayerSet, as_mask, ids_from_mask
-from .indices import IndexResult, _pmap
+from .indices import IndexResult
 
 _MASK64 = (1 << 64) - 1
 _WARMUP_DRAWS = 64
@@ -146,7 +147,11 @@ def _draw_matrix(game: Game, target_masks, m: int, seed: int,
     workers = max(1, min(threads, m))
     step = -(-m // workers)
     chunks = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-    _pmap(fill, chunks, workers)
+    if len(chunks) == 1:
+        fill(chunks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, chunks))
     return matrix
 
 

@@ -2,10 +2,13 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, fsum
+
+import numpy as np
 
 from interax import make_tabular
-from interax.games import ids_from_mask
+from interax.calculus import derivative_table
+from interax.games import ids_from_mask, popcounts
 
 
 def random_tabular(rng, n, scale=1.0):
@@ -78,3 +81,55 @@ def all_masks_of_size(n, size):
             mask |= 1 << p
         out.append(mask)
     return out
+
+
+def _weighted_sweep(table, n, s_mask, weights):
+    deriv = derivative_table(table, n, s_mask)
+    return fsum((deriv * weights[popcounts(deriv.size)]).tolist())
+
+
+def stv_by_sweeps(game, k):
+    """Order-k Shapley-Taylor values, one derivative sweep per subset.
+
+    Independent of the library's Mobius kernel: sizes below k take the
+    recursive derivative at the empty set; each size-k subset S sums its
+    derivative table against the complement-size weights k / (n C(n-1, t))
+    with math.fsum.  Returns {mask: value}.
+    """
+    n = game.n
+    table = game.dense_table()
+    weights = np.array([k / (n * comb(n - 1, t)) for t in range(n - k + 1)])
+    out = {m: derivative_recursive(game, m, 0)
+           for j in range(1, k) for m in all_masks_of_size(n, j)}
+    for m in all_masks_of_size(n, k):
+        out[m] = _weighted_sweep(table, n, m, weights)
+    return out
+
+
+def sii_by_sweep(game, s_mask):
+    """Interaction index of one subset by an fsum derivative sweep with
+    factorial weights (t)! (n-t-s)! / (n-s+1)! over complement sizes t."""
+    n = game.n
+    s = bin(s_mask).count("1")
+    weights = np.array([factorial(n - t - s) * factorial(t) / factorial(n - s + 1)
+                        for t in range(n - s + 1)])
+    return _weighted_sweep(game.dense_table(), n, s_mask, weights)
+
+
+def sii_main_effects_by_sweeps(game):
+    """Pairs by `sii_by_sweep`, singles as the swept Shapley value minus half
+    of each pair holding the player.  Returns {mask: value}."""
+    n = game.n
+    phi = stv_by_sweeps(game, 1)
+    out = {m: sii_by_sweep(game, m) for m in all_masks_of_size(n, 2)}
+    for i in range(n):
+        cross = fsum(v for m, v in sorted(out.items()) if m >> i & 1)
+        out[1 << i] = phi[1 << i] - 0.5 * cross
+    return out
+
+
+def mobius_sums_fractions(terms, s_mask, weight):
+    """Sum over the terms T containing S of weight(|T|) * a(T), in exact
+    rationals.  `terms` maps masks to float Mobius coefficients."""
+    return float(sum(weight(bin(t).count("1")) * Fraction(c)
+                     for t, c in terms.items() if t & s_mask == s_mask))

@@ -1,4 +1,6 @@
+import gc
 import sys
+import warnings
 
 import pytest
 
@@ -17,6 +19,20 @@ class TestProtocol:
             got = stv_exact(ext, 2)
         want = stv_exact(make_majority(3), 2)
         assert got.values == want.values
+
+    def test_close_releases_child_pipes(self, majority_child_command, monkeypatch):
+        # an unclosed pipe warns from a finalizer, where an error-filtered
+        # warning cannot propagate; the unraisable hook catches it instead
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            ext = attach_external(majority_child_command, 3)
+            assert ext.value([0, 1]) == 1.0
+            ext.close()
+            del ext
+            gc.collect()
+        assert unraisable == []
 
     def test_memoized_single_round_trip(self):
         # child answers with a running counter: a repeated query would

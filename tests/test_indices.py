@@ -1,15 +1,19 @@
+from fractions import Fraction
 from math import comb, fsum
 
 import numpy as np
 import pytest
 
-from helpers import (all_masks_of_size, random_tabular, shapley_by_orderings,
-                     sii_exact_fractions)
+from helpers import (all_masks_of_size, mobius_sums_fractions, random_tabular,
+                     shapley_by_orderings, sii_by_sweep, sii_exact_fractions,
+                     sii_main_effects_by_sweeps, stv_by_sweeps)
 from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      make_interaction, make_linear_crosses, make_majority,
                      make_mobius_game, make_product, make_tabular, make_unanimity,
                      restrict_players, shapley, sii_exact, sii_index,
                      sii_main_effects, stv_exact, stv_permutation_oracle)
+from interax.analysis import majority_sii_by_size
+from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
 from interax.games import from_function, relabel
 
 
@@ -111,13 +115,6 @@ class TestStvExact:
                     continue
                 res = efficiency_residual(stv_exact(g, k), g)
                 assert abs(res) <= 1e-9 * max(1.0, abs(g.span()))
-
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(23)
-        g = random_tabular(rng, 7)
-        solo = stv_exact(g, 2, threads=1)
-        pooled = stv_exact(g, 2, threads=4)
-        assert solo.values == pooled.values
 
 
 class TestPermutationOracle:
@@ -243,6 +240,87 @@ class TestSiiMainEffects:
                 assert result.get([i], 3) == pytest.approx(1 - c / 6, abs=1e-12)
             for pair in ([0, 1], [0, 2], [1, 2]):
                 assert result.get(pair, 3) == pytest.approx(c / 2, abs=1e-12)
+
+
+class TestKernelAgainstOracles:
+    """The Mobius superset-sum kernel against per-subset fsum derivative
+    sweeps on dense games, and against exact rational Mobius sums."""
+
+    SIZES = (2, 5, 9, 12, 14)
+
+    @staticmethod
+    def assert_matches(got: IndexResult, want: dict, n: int, tol: float):
+        assert set(got.values) == {PlayerSet(m, n) for m in want}
+        for m, v in want.items():
+            assert got.values[PlayerSet(m, n)] == pytest.approx(v, abs=tol)
+
+    def test_taylor_values_and_efficiency(self):
+        rng = np.random.default_rng(31)
+        for n in self.SIZES:
+            g = random_tabular(rng, n)
+            for k in range(1, min(n, 3) + 1):
+                result = stv_exact(g, k)
+                self.assert_matches(result, stv_by_sweeps(g, k), n, 1e-11)
+                assert abs(efficiency_residual(result, g)) <= 1e-9 * max(1.0, abs(g.span()))
+
+    def test_interaction_values(self):
+        rng = np.random.default_rng(32)
+        for n in self.SIZES:
+            g = random_tabular(rng, n)
+            want = {m: sii_by_sweep(g, m) for s in (1, 2) for m in all_masks_of_size(n, s)}
+            self.assert_matches(sii_index(g, 2), want, n, 1e-11)
+            for m, v in want.items():
+                assert sii_exact(g, m) == pytest.approx(v, abs=1e-11)
+
+    def test_main_effects_and_efficiency(self):
+        rng = np.random.default_rng(33)
+        for n in self.SIZES:
+            g = random_tabular(rng, n)
+            result = sii_main_effects(g)
+            self.assert_matches(result, sii_main_effects_by_sweeps(g), n, 1e-11)
+            assert abs(efficiency_residual(result, g)) <= 1e-9 * max(1.0, abs(g.span()))
+
+    def test_sparse_game_at_twenty_players(self):
+        n = 20
+        rng = np.random.default_rng(34)
+        terms = {}
+        while len(terms) < 40:
+            members = rng.choice(n, int(rng.integers(1, 7)), replace=False)
+            terms[sum(1 << int(p) for p in members)] = float(rng.normal())
+        g = make_mobius_game(n, terms)
+        stv = stv_exact(g, 2)
+        sii = sii_index(g, 2)
+        assert set(stv.values) == set(sii.values)
+        for pset in stv.values:
+            s = pset.size
+            want_stv = (terms.get(pset.bits, 0.0) if s == 1 else
+                        mobius_sums_fractions(terms, pset.bits, lambda t: Fraction(1, comb(t, 2))))
+            want_sii = mobius_sums_fractions(terms, pset.bits,
+                                             lambda t, s=s: Fraction(1, t - s + 1))
+            assert abs(stv.values[pset] - want_stv) <= 1e-12
+            assert abs(sii.values[pset] - want_sii) <= 1e-12
+
+
+    def test_majority_axioms_at_twenty_players(self):
+        # majority's Mobius coefficients reach 9e4 in magnitude at n = 20 and
+        # cancel down to pair values of 1/190; every axiom check must still
+        # hold at its shipped tolerance
+        for check in run_axiom_checks(make_majority(20), 2, 11):
+            assert check.passed, check.detail
+
+    def test_majority_closed_forms_at_twenty_two_players(self):
+        n = 22
+        g = make_majority(n)
+        stv = stv_exact(g, 2)
+        assert abs(efficiency_residual(stv, g)) <= EFFICIENCY_TOL * max(1.0, abs(g.span()))
+        # singletons carry a({i}) = 0; the pairs split v(N) = 1 evenly
+        pair = 2.0 / (n * (n - 1))
+        for pset, v in stv.values.items():
+            assert v == pytest.approx(0.0 if pset.size == 1 else pair, abs=1e-12)
+        by_size = majority_sii_by_size(n)
+        for pset, v in sii_index(g, 2).values.items():
+            assert abs(v - float(by_size[pset.size])) <= 1e-12
+        assert abs(sii_exact(g, 0b11) - float(by_size[2])) <= 1e-12
 
 
 class TestEfficiencyResidual:
