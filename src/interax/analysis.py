@@ -228,8 +228,7 @@ class CrossRanking:
 
 
 def aggregate_crosses(games: list[Game], k: int, aggregation: str = "mean",
-                      plan: SamplingPlan | None = None,
-                      threads: int = 1) -> CrossRanking:
+                      plan: SamplingPlan | None = None) -> CrossRanking:
     """Rank subsets by mean (or mean absolute) Taylor value across games.
 
     All games must share one player count.  Exact computation is used up
@@ -254,7 +253,7 @@ def aggregate_crosses(games: list[Game], k: int, aggregation: str = "mean",
         if plan is None:
             results.append(stv_exact(game, k))
         else:
-            results.append(stv_sampled(game, k, plan, threads=threads))
+            results.append(stv_sampled(game, k, plan))
 
     keys = list(results[0].values.keys())
     count = len(games)

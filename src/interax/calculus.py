@@ -61,14 +61,21 @@ def discrete_derivative(game: Game, diff_set, at) -> float:
         raise ValueError(
             f"differentiation set {ids_from_mask(s_mask)} overlaps "
             f"evaluation point {ids_from_mask(t_mask)}")
+    if s_mask.bit_count() > DENSE_LIMIT:
+        raise ValueError(
+            f"derivative order {s_mask.bit_count()} exceeds the {DENSE_LIMIT} guard")
+    return derivative(game, s_mask, t_mask)
+
+
+def derivative(game: Game, s_mask: int, t_mask: int) -> float:
+    """`discrete_derivative` on two disjoint bitmasks, without the checks.
+
+    The alternating sum over the submasks W of s_mask of v(W | t_mask),
+    added by math.fsum, so the result is correctly rounded.
+    """
     s = s_mask.bit_count()
-    if s > DENSE_LIMIT:
-        raise ValueError(f"derivative order {s} exceeds the {DENSE_LIMIT} guard")
-    terms = []
-    for w_mask in iter_submasks(s_mask):
-        sign = signed_by_parity(s - w_mask.bit_count())
-        terms.append(sign * game.value(w_mask | t_mask))
-    return fsum(terms)
+    return fsum(signed_by_parity(s - w.bit_count()) * game.value(w | t_mask)
+                for w in iter_submasks(s_mask))
 
 
 def derivative_table(table: np.ndarray, n: int, s_mask: int) -> np.ndarray:
@@ -239,9 +246,8 @@ def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:
     union = s_mask | t_mask
     if union.bit_count() > DENSE_LIMIT:
         raise ValueError(f"combined order exceeds the {DENSE_LIMIT} guard")
-    lhs = discrete_derivative(game, union, 0)  # a(T | S) as a derivative at empty
+    lhs = derivative(game, union, 0)  # a(T | S) as a derivative at empty
     t = t_mask.bit_count()
-    rhs = fsum(signed_by_parity(t - w.bit_count())
-               * discrete_derivative(game, s_mask, w)
+    rhs = fsum(signed_by_parity(t - w.bit_count()) * derivative(game, s_mask, w)
                for w in iter_submasks(t_mask))
     return lhs, rhs

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 
@@ -203,7 +202,6 @@ def _compute_index(game: Game, args) -> IndexResult:
         seed, auto = _resolve_seed(args)
         if auto:
             print(f"seed auto-chosen: {seed}", file=sys.stderr)
-        threads = args.threads or os.cpu_count() or 1
         if args.mode == "sample":
             if args.samples is not None:
                 plan = sampling.SamplingPlan.from_samples(args.samples, seed)
@@ -213,13 +211,12 @@ def _compute_index(game: Game, args) -> IndexResult:
                                      "--epsilon and --delta")
                 plan = sampling.SamplingPlan.from_error_budget(
                     args.epsilon, args.delta, seed, range_bound=args.range)
-            result = sampling.stv_sampled(game, k, plan, threads=threads)
+            result = sampling.stv_sampled(game, k, plan)
         elif args.mode == "mom":
             if args.groups is None or args.per_group is None:
                 raise ValueError("--mode mom needs --groups and --per-group")
             result = sampling.stv_sampled_mom(game, k, args.groups,
-                                              args.per_group, seed,
-                                              threads=threads)
+                                              args.per_group, seed)
         else:
             raise ValueError(f"unknown mode {args.mode!r}")
     if args.method == "shapley":
@@ -342,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--format", choices=["csv", "json", "table"],
                          default="table")
     p_index.add_argument("--out", metavar="PATH")
-    p_index.add_argument("--threads", type=int, default=None,
-                         help="worker threads for the sampled modes")
+    # accepted for old scripts and ignored: sampling is serial
+    p_index.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_index.set_defaults(func=_cmd_index)
 
     p_verify = sub.add_parser("verify", help="axiom and identity checks")
@@ -408,3 +405,7 @@ def run(argv=None) -> int:
 
 def main():  # console-script entry point
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

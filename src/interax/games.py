@@ -12,6 +12,7 @@ external games talk to a child process over a line protocol.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 import threading
@@ -121,7 +122,8 @@ class Game:
     """A value oracle v: 2^N -> R with a per-instance memo cache.
 
     Evaluation is deterministic: the first computed value for a subset is
-    cached and every later call returns the identical float.  The memo is
+    cached and every later call returns the identical float; a value that
+    is not finite raises ValueError instead.  The memo is
     unbounded here (fine for n <= 24 dense work); ExternalGame swaps in an
     LRU-bounded cache.  Cache writes are serialized so concurrent readers
     are safe.
@@ -148,6 +150,9 @@ class Game:
         if cached is not None:
             return cached
         val = float(self._fn(mask))
+        if not math.isfinite(val):
+            raise ValueError(f"game value of subset {ids_from_mask(mask)} is {val!r}, "
+                             "not finite")
         with self._lock:
             return self._cache.setdefault(mask, val)
 
@@ -165,6 +170,8 @@ class Game:
             return table
         if self._dense_fill is not None:
             table = np.asarray(self._dense_fill(), dtype=np.float64)
+            if not np.isfinite(table).all():
+                raise ValueError(f"the {self.kind} game has non-finite values")
         else:
             # route through value() so memo/LRU and protocol serialization
             # stay authoritative; racing builders produce identical tables
@@ -463,10 +470,13 @@ class ExternalGame(Game):
         query = "".join("1" if mask >> i & 1 else "0" for i in range(self.n))
         reply = self._round_trip(query)
         try:
-            return float(reply)
+            val = float(reply)
         except ValueError:
             raise EvaluationError(f"non-numeric reply {reply!r} for subset {query}") \
                 from None
+        if not math.isfinite(val):
+            raise EvaluationError(f"non-finite reply {reply!r} for subset {query}")
+        return val
 
     def value(self, subset) -> float:
         mask = as_mask(subset, self.n)

@@ -30,7 +30,7 @@ from math import comb, factorial, fsum
 
 import numpy as np
 
-from .calculus import (discrete_derivative, masks_of_size, mobius_dense, superset_sums,
+from .calculus import (derivative, masks_of_size, mobius_dense, superset_sums,
                        superset_view, weighted_terms)
 from .games import (DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask,
                     mask_from_ids, popcounts)
@@ -148,7 +148,7 @@ def stv_permutation_oracle(game: Game, k: int) -> IndexResult:
             tally[first] = tally.get(first, 0) + 1
     total = factorial(n)
     for tally, (s_mask, _) in zip(tallies, targets):
-        acc = fsum(count * discrete_derivative(game, s_mask, at)
+        acc = fsum(count * derivative(game, s_mask, at)
                    for at, count in sorted(tally.items()))
         values[PlayerSet(s_mask, n)] = acc / total
     return IndexResult("stv", k, values, {"mode": "permutation-oracle"})

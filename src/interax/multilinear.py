@@ -54,8 +54,8 @@ def multilinear_eval(game: Game, point) -> float:
 def diagonal_partial_poly(game: Game, subset) -> np.ndarray:
     """Coefficients c[w] with D_S f(t,...,t) = sum_w c[w] t^w.
 
-    c[w] collects the Mobius coefficients of supersets of S that add w
-    extra players.  Cached per (game, subset).
+    c[w] is the math.fsum of the Mobius coefficients of the supersets of S
+    that add w extra players.  Cached per (game, subset).
     """
     s_mask = as_mask(subset, game.n)
     key = ("diagonal-poly", s_mask)
@@ -64,8 +64,8 @@ def diagonal_partial_poly(game: Game, subset) -> np.ndarray:
         return cached
     supersets = superset_view(game, s_mask)
     extra = popcounts(supersets.size)
-    poly = np.bincount(extra, weights=supersets,
-                       minlength=game.n - s_mask.bit_count() + 1)
+    poly = np.array([fsum(supersets[extra == w].tolist())
+                     for w in range(game.n - s_mask.bit_count() + 1)])
     poly.setflags(write=False)
     return game.derived.setdefault(key, poly)
 
@@ -178,22 +178,3 @@ def taylor_identity_check(game: Game, k: int,
     return TaylorReport(k, lhs, lower_total, remainder_total, rhs,
                         abs_error, tolerance, remainder_mode,
                         abs_error <= tolerance)
-
-
-def multilinear_eval_probability_form(game: Game, point) -> float:
-    """f(x) straight from the definition: expectation over random subsets.
-
-    Sums v(S) prod_{i in S} x_i prod_{i not in S} (1 - x_i) over all S.
-    Quadratically slower bookkeeping than the Mobius route; kept as an
-    independent reference for tests.
-    """
-    x = np.asarray(point, dtype=np.float64)
-    if x.shape != (game.n,):
-        raise ValueError(f"point must have {game.n} coordinates, got shape {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("coordinates must lie in [0, 1]")
-    table = game.dense_table()
-    weights = np.ones(1, dtype=np.float64)
-    for i in range(game.n):
-        weights = np.concatenate([weights * (1.0 - x[i]), weights * x[i]])
-    return fsum((table * weights).tolist())

@@ -8,25 +8,25 @@ exactly.  Works up to n = 64 and never touches a dense table, so it is
 the route for external evaluators.
 
 Permutations come from a counter-based generator (Philox, 64-bit keys):
-the stream for sample i is keyed by (seed, i), so any partition of the
-sample range across workers draws identical permutations, and per-target
-accumulation goes through numpy's pairwise reduction, so worker count
-never changes the result.  The sample-size rule
-m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual Hoeffding guarantee
-for derivatives bounded by r in magnitude.
+the permutation for sample i is keyed by (seed, stream, i), and per-target
+sums go through numpy's pairwise reduction, so a result is reproducible
+bit for bit from its seed.  The draw loop is serial: it runs Python code
+under the interpreter lock, where worker threads only add overhead.  The
+sample-size rule m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual
+Hoeffding guarantee for derivatives bounded by r in magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import fsum
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .calculus import iter_submasks, masks_of_size, signed_by_parity
-from .games import Game, PlayerSet, as_mask, ids_from_mask
+from .calculus import derivative, masks_of_size
+from .games import Game, PlayerSet, as_mask, ids_from_mask, mask_from_ids
 from .indices import IndexResult
 
 _MASK64 = (1 << 64) - 1
@@ -103,101 +103,56 @@ def sample_permutation(seed: int, index: int, n: int,
     return gen.permutation(n)
 
 
-def _ordering_derivative(game: Game, s_mask: int, members, perm) -> float:
-    """Derivative of the target at the set preceding all its members."""
-    first = len(perm)
-    for p in members:
-        pos = int(np.nonzero(perm == p)[0][0])
-        if pos < first:
-            first = pos
-    prefix = 0
-    for i in range(first):
-        prefix |= 1 << int(perm[i])
-    s = s_mask.bit_count()
-    return fsum(signed_by_parity(s - w.bit_count()) * game.value(w | prefix)
-                for w in iter_submasks(s_mask))
-
-
 def _draw_matrix(game: Game, target_masks, m: int, seed: int,
-                 threads: int, stream: int = _MAIN_STREAM) -> np.ndarray:
+                 stream: int = _MAIN_STREAM) -> np.ndarray:
     """Per-target, per-sample derivative draws; column i uses stream (seed, i)."""
-    n = game.n
-    members = [ids_from_mask(t) for t in target_masks]
     matrix = np.empty((len(target_masks), m), dtype=np.float64)
-
-    def fill(bounds):
-        lo, hi = bounds
-        for idx in range(lo, hi):
-            perm = sample_permutation(seed, idx, n, stream)
-            pos = np.empty(n, dtype=np.int64)
-            pos[perm] = np.arange(n)
-            prefixes = [0] * (n + 1)
-            acc = 0
-            for i, player in enumerate(perm):
-                acc |= 1 << int(player)
-                prefixes[i + 1] = acc
-            for t_idx, (s_mask, mem) in enumerate(zip(target_masks, members)):
-                first = min(int(pos[p]) for p in mem)
-                prefix = prefixes[first]
-                s = s_mask.bit_count()
-                matrix[t_idx, idx] = fsum(
-                    signed_by_parity(s - w.bit_count()) * game.value(w | prefix)
-                    for w in iter_submasks(s_mask))
-
-    workers = max(1, min(threads, m))
-    step = -(-m // workers)
-    chunks = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-    if len(chunks) == 1:
-        fill(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
+    members = [ids_from_mask(t) for t in target_masks]
+    before = [0] * game.n
+    for idx in range(m):
+        prefix = 0
+        for player in sample_permutation(seed, idx, game.n, stream).tolist():
+            before[player] = prefix
+            prefix |= 1 << player
+        # prefixes are nested, so the earliest member's is the smallest mask
+        for t_idx, (s_mask, mem) in enumerate(zip(target_masks, members)):
+            matrix[t_idx, idx] = derivative(game, s_mask, min(before[p] for p in mem))
     return matrix
 
 
-def _resolve_targets(game: Game, k: int, targets) -> list[int]:
+def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet, float]]:
+    """The size-k target masks, and the exact value of every smaller set.
+
+    Sets below size k do not depend on the ordering: each gets its
+    derivative at the empty set.  With targets given, only the players
+    they mention are in scope.
+    """
     n = game.n
+    if not 1 <= k <= n:
+        raise ValueError(f"order k must be in 1..{n}, got {k}")
     if targets is None:
-        return list(masks_of_size(n, k))
-    masks = []
-    for t in targets:
-        mask = as_mask(t, n)
-        if mask.bit_count() != k:
-            raise ValueError(
-                f"target {ids_from_mask(mask)} has size {mask.bit_count()}, "
-                f"but the order is k={k}")
-        masks.append(mask)
-    if not masks:
-        raise ValueError("target list must not be empty")
-    return masks
-
-
-def _lower_order_values(game: Game, k: int, scope_mask: int) -> dict[PlayerSet, float]:
-    """Exact derivative-at-empty values for every size < k set in scope."""
-    n = game.n
+        target_masks = list(masks_of_size(n, k))
+    else:
+        target_masks = [as_mask(t, n) for t in targets]
+        if not target_masks:
+            raise ValueError("target list must not be empty")
+        for mask in target_masks:
+            if mask.bit_count() != k:
+                raise ValueError(
+                    f"target {ids_from_mask(mask)} has size {mask.bit_count()}, "
+                    f"but the order is k={k}")
+    scope = range(n) if targets is None else ids_from_mask(reduce(or_, target_masks))
     values: dict[PlayerSet, float] = {}
-    scope = ids_from_mask(scope_mask)
     for j in range(1, k):
         for packed in masks_of_size(len(scope), j):
-            s_mask = 0
-            for b, player in enumerate(scope):
-                if packed >> b & 1:
-                    s_mask |= 1 << player
-            s = j
-            val = fsum(signed_by_parity(s - w.bit_count()) * game.value(w)
-                       for w in iter_submasks(s_mask))
-            values[PlayerSet(s_mask, n)] = val
-    return values
+            s_mask = mask_from_ids(p for b, p in enumerate(scope) if packed >> b & 1)
+            values[PlayerSet(s_mask, n)] = derivative(game, s_mask, 0)
+    return target_masks, values
 
 
 def _estimate_range(game: Game, target_masks, seed: int) -> float:
-    members = [ids_from_mask(t) for t in target_masks]
-    seen = []
-    for idx in range(_WARMUP_DRAWS):
-        perm = sample_permutation(seed, idx, game.n, _WARMUP_STREAM)
-        for s_mask, mem in zip(target_masks, members):
-            seen.append(_ordering_derivative(game, s_mask, mem, perm))
-    spread = max(seen) - min(seen)
+    warmup = _draw_matrix(game, target_masks, _WARMUP_DRAWS, seed, _WARMUP_STREAM)
+    spread = float(warmup.max() - warmup.min())
     if spread == 0.0:
         raise ValueError(
             "warmup draws found a flat derivative range; "
@@ -205,8 +160,7 @@ def _estimate_range(game: Game, target_masks, seed: int) -> float:
     return 2.0 * spread
 
 
-def stv_sampled(game: Game, k: int, plan: SamplingPlan,
-                threads: int = 1) -> IndexResult:
+def stv_sampled(game: Game, k: int, plan: SamplingPlan) -> IndexResult:
     """Sampled order-k Shapley-Taylor values per the plan.
 
     Size-k sets get the mean derivative over m seeded random orderings;
@@ -215,11 +169,7 @@ def stv_sampled(game: Game, k: int, plan: SamplingPlan,
     those targets mention.  Identical (plan, seed) input reproduces the
     result bit for bit.
     """
-    n = game.n
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
-    target_masks = _resolve_targets(game, k, plan.targets)
-
+    target_masks, values = _exact_part(game, k, plan.targets)
     range_bound = plan.range_bound
     range_source = "user" if range_bound is not None else None
     if plan.samples is not None:
@@ -230,17 +180,9 @@ def stv_sampled(game: Game, k: int, plan: SamplingPlan,
             range_source = "warmup-estimate"
         m = required_samples(plan.epsilon, plan.delta, range_bound)
 
-    scope = (1 << n) - 1
-    if plan.targets is not None:
-        scope = 0
-        for t in target_masks:
-            scope |= t
-    values = _lower_order_values(game, k, scope)
-
-    matrix = _draw_matrix(game, target_masks, m, plan.seed, threads)
-    estimates = matrix.sum(axis=1) / m
+    estimates = _draw_matrix(game, target_masks, m, plan.seed).sum(axis=1) / m
     for s_mask, est in zip(target_masks, estimates):
-        values[PlayerSet(s_mask, n)] = float(est)
+        values[PlayerSet(s_mask, game.n)] = float(est)
     meta = {"mode": "sampled", "samples": m, "seed": plan.seed,
             "epsilon": plan.epsilon, "delta": plan.delta,
             "range": range_bound, "range_source": range_source}
@@ -248,7 +190,7 @@ def stv_sampled(game: Game, k: int, plan: SamplingPlan,
 
 
 def stv_sampled_mom(game: Game, k: int, groups: int, per_group: int, seed: int,
-                    targets=None, threads: int = 1) -> IndexResult:
+                    targets=None) -> IndexResult:
     """Median-of-means variant: median over group means of permutation draws.
 
     groups must be odd so the median is an actual draw mean.  groups=1 is
@@ -258,25 +200,14 @@ def stv_sampled_mom(game: Game, k: int, groups: int, per_group: int, seed: int,
         raise ValueError(f"group count must be odd and >= 1, got {groups}")
     if per_group < 1:
         raise ValueError(f"per-group sample count must be >= 1, got {per_group}")
-    n = game.n
-    if not 1 <= k <= n:
-        raise ValueError(f"order k must be in 1..{n}, got {k}")
-    target_masks = _resolve_targets(game, k, targets)
-
-    scope = (1 << n) - 1
-    if targets is not None:
-        scope = 0
-        for t in target_masks:
-            scope |= t
-    values = _lower_order_values(game, k, scope)
-
+    target_masks, values = _exact_part(game, k, targets)
     m = groups * per_group
-    matrix = _draw_matrix(game, target_masks, m, seed, threads)
+    matrix = _draw_matrix(game, target_masks, m, seed)
     group_means = matrix.reshape(len(target_masks), groups, per_group) \
                         .sum(axis=2) / per_group
     estimates = np.median(group_means, axis=1)
     for s_mask, est in zip(target_masks, estimates):
-        values[PlayerSet(s_mask, n)] = float(est)
+        values[PlayerSet(s_mask, game.n)] = float(est)
     meta = {"mode": "median-of-means", "groups": groups, "per_group": per_group,
             "samples": m, "seed": seed}
     return IndexResult("stv", k, values, meta)

@@ -133,3 +133,17 @@ def mobius_sums_fractions(terms, s_mask, weight):
     rationals.  `terms` maps masks to float Mobius coefficients."""
     return float(sum(weight(bin(t).count("1")) * Fraction(c)
                      for t, c in terms.items() if t & s_mask == s_mask))
+
+
+def multilinear_eval_probability_form(game, point):
+    """f(x) straight from the definition: expectation over random subsets.
+
+    Sums v(S) prod_{i in S} x_i prod_{i not in S} (1 - x_i) over all S,
+    independent of the library's Mobius route.
+    """
+    x = np.asarray(point, dtype=np.float64)
+    table = game.dense_table()
+    weights = np.ones(1, dtype=np.float64)
+    for i in range(game.n):
+        weights = np.concatenate([weights * (1.0 - x[i]), weights * x[i]])
+    return fsum((table * weights).tolist())

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import interax
 from interax.cli import parse_builtin, parse_player_list, run
 
 
@@ -121,6 +126,24 @@ class TestIndexCommand:
                     "--threads", "4", "--format", "csv", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_threads_flag_is_ignored(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        sampled = ["index", "--builtin", "majority:n=8", "--k", "2", "--mode", "sample",
+                   "--samples", "40", "--seed", "3", "--format", "csv"]
+        assert run([*sampled, "--out", str(a)]) == 0
+        assert run([*sampled, "--threads", "3", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(interax.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "interax.cli", "index", "--builtin", "majority:n=3",
+             "--k", "1", "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.splitlines()[1:]
+        assert [float(row.rsplit(",", 1)[1]) for row in rows] == [1 / 3] * 3
+
     def test_mom_mode(self, tmp_path):
         out = tmp_path / "m.json"
         rc = run(["index", "--builtin", "linear-crosses:c=3", "--k", "2",
@@ -225,6 +248,20 @@ class TestExitCodes:
 
 
 class TestExternalViaCli:
+    def test_non_finite_reply_is_domain_error(self, capsys):
+        prog = ("import sys\n"
+                "for line in sys.stdin:\n"
+                "    line = line.strip()\n"
+                "    if line.startswith('INIT'): print('OK', flush=True)\n"
+                "    elif line == 'QUIT': break\n"
+                "    else: print('nan', flush=True)\n")
+        rc = run(["index", "--external", f'{sys.executable} -c "{prog}"', "--n", "3",
+                  "--k", "1", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and "non-finite" in captured.err
+
     def test_external_matches_builtin(self, tmp_path, majority_child_command):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         rc = run(["index", "--external", majority_child_command, "--n", "3",

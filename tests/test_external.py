@@ -63,6 +63,17 @@ class TestProtocol:
             with pytest.raises(EvaluationError, match="abc"):
                 ext.value([0])
 
+    def test_non_finite_reply(self):
+        prog = ("import sys\n"
+                "for line in sys.stdin:\n"
+                "    line = line.strip()\n"
+                "    if line.startswith('INIT'): print('OK', flush=True)\n"
+                "    elif line == 'QUIT': break\n"
+                "    else: print('inf', flush=True)\n")
+        with attach_external(f'{sys.executable} -c "{prog}"', 3) as ext:
+            with pytest.raises(EvaluationError, match="non-finite reply 'inf'"):
+                ext.value([0])
+
     def test_child_exit_mid_session(self):
         prog = ("import sys\n"
                 "sys.stdin.readline()\n"

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from interax import games
+from interax import SamplingPlan, games, stv_exact, stv_sampled
 from interax.games import (PlayerSet, from_function, load_game, load_mobius,
                            load_tabular, make_interaction, make_linear_crosses,
                            make_majority, make_mobius_game, make_product,
@@ -125,6 +126,31 @@ class TestTabular:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             make_tabular(1, [0.0, float("nan")])
+
+
+class TestNonFiniteValues:
+    @staticmethod
+    def nan_on_grand(n):
+        full = (1 << n) - 1
+        return from_function(n, lambda m: math.nan if m == full else float(m.bit_count()))
+
+    def test_value_names_the_subset(self):
+        g = self.nan_on_grand(3)
+        assert g.value([0, 2]) == 2.0
+        with pytest.raises(ValueError, match=r"\(0, 1, 2\) is nan"):
+            g.value([0, 1, 2])
+
+    def test_exact_and_sampled_indices_raise(self):
+        with pytest.raises(ValueError, match="not finite"):
+            stv_exact(self.nan_on_grand(4), 2)
+        # every ordering ends in a pair whose derivative reaches the grand set
+        with pytest.raises(ValueError, match="not finite"):
+            stv_sampled(self.nan_on_grand(4), 2, SamplingPlan.from_samples(4, seed=1))
+
+    def test_dense_fill_rejected(self):
+        g = make_interaction(3, [0, 1], math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            g.dense_table()
 
 
 class TestMobiusGame:

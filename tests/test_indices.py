@@ -8,9 +8,9 @@ from helpers import (all_masks_of_size, mobius_sums_fractions, random_tabular,
                      shapley_by_orderings, sii_by_sweep, sii_exact_fractions,
                      sii_main_effects_by_sweeps, stv_by_sweeps)
 from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
-                     make_interaction, make_linear_crosses, make_majority,
-                     make_mobius_game, make_product, make_tabular, make_unanimity,
-                     restrict_players, shapley, sii_exact, sii_index,
+                     lagrange_remainder_term, make_interaction, make_linear_crosses,
+                     make_majority, make_mobius_game, make_product, make_tabular,
+                     make_unanimity, restrict_players, shapley, sii_exact, sii_index,
                      sii_main_effects, stv_exact, stv_permutation_oracle)
 from interax.analysis import majority_sii_by_size
 from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
@@ -260,8 +260,12 @@ class TestKernelAgainstOracles:
             g = random_tabular(rng, n)
             for k in range(1, min(n, 3) + 1):
                 result = stv_exact(g, k)
-                self.assert_matches(result, stv_by_sweeps(g, k), n, 1e-11)
+                want = stv_by_sweeps(g, k)
+                self.assert_matches(result, want, n, 1e-11)
                 assert abs(efficiency_residual(result, g)) <= 1e-9 * max(1.0, abs(g.span()))
+                for m in all_masks_of_size(n, k):
+                    assert lagrange_remainder_term(g, m, k, "analytic") == \
+                        pytest.approx(want[m], abs=5e-13)
 
     def test_interaction_values(self):
         rng = np.random.default_rng(32)

@@ -4,13 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import all_masks_of_size, random_tabular
+from helpers import all_masks_of_size, multilinear_eval_probability_form, random_tabular
 from interax import (PlayerSet, lagrange_remainder_term, make_linear_crosses,
                      make_majority, make_product, make_tabular, make_unanimity,
                      mixed_partial_diagonal, multilinear_eval, stv_exact,
                      taylor_identity_check)
-from interax.multilinear import (adaptive_simpson, diagonal_partial_poly,
-                                 multilinear_eval_probability_form)
+from interax.multilinear import adaptive_simpson, diagonal_partial_poly
 
 
 class TestMultilinearEval:

@@ -3,12 +3,30 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_tabular
+from helpers import all_masks_of_size, random_tabular
 from interax import (PlayerSet, SamplingPlan, discrete_derivative,
                      make_linear_crosses, make_majority, make_mobius_game,
                      make_tabular, make_unanimity, required_samples,
                      sample_permutation, stv_exact, stv_sampled, stv_sampled_mom)
+
+# (n, k, seed, m): a random tabular game on n players, seeded by `seed`
+DRAW_CASES = st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(n, 3)), st.integers(0, 2 ** 64 - 1),
+    st.integers(1, 16)))
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def prefix_before(perm, s_mask):
+    """The players of the ordering that precede every member of s_mask."""
+    prefix = 0
+    for player in perm.tolist():
+        if s_mask >> player & 1:
+            return prefix
+        prefix |= 1 << player
+
 
 class TestRequiredSamples:
     def test_reference_point(self):
@@ -96,13 +114,6 @@ class TestStvSampled:
         b = stv_sampled(g, 2, plan)
         assert a.values == b.values
         assert a.meta == b.meta
-
-    def test_thread_partition_invariance(self):
-        g = make_majority(8)
-        plan = SamplingPlan.from_samples(97, seed=12)
-        solo = stv_sampled(g, 2, plan, threads=1)
-        pooled = stv_sampled(g, 2, plan, threads=4)
-        assert solo.values == pooled.values
 
     def test_error_budget_derives_count(self):
         g = make_majority(8)
@@ -240,3 +251,33 @@ class TestPermutationStream:
         result = stv_sampled(g, 2, plan)
         assert len([s for s in result.values if s.size == 2]) == 10
         assert len([s for s in result.values if s.size == 1]) == 5
+
+
+class TestDrawProperties:
+    @PROPERTY
+    @given(DRAW_CASES)
+    def test_values_are_mean_ordering_derivatives(self, case):
+        n, k, seed, m = case
+        g = random_tabular(np.random.default_rng(seed), n)
+        result = stv_sampled(g, k, SamplingPlan.from_samples(m, seed=seed))
+        perms = [sample_permutation(seed, i, n) for i in range(m)]
+        for s_mask in all_masks_of_size(n, k):
+            want = fsum(discrete_derivative(g, s_mask, prefix_before(perm, s_mask))
+                        for perm in perms) / m
+            assert result.values[PlayerSet(s_mask, n)] == pytest.approx(want, abs=1e-12)
+
+    @PROPERTY
+    @given(DRAW_CASES)
+    def test_warmup_range_is_twice_the_spread(self, case):
+        n, k, seed, _ = case
+        g = random_tabular(np.random.default_rng(seed), n)
+        draws = [discrete_derivative(g, s_mask, prefix_before(perm, s_mask))
+                 for perm in (sample_permutation(seed, i, n, stream=1) for i in range(64))
+                 for s_mask in all_masks_of_size(n, k)]
+        spread = max(draws) - min(draws)
+        plan = SamplingPlan.from_error_budget(1e3, 0.5, seed=seed)
+        if spread == 0.0:  # k = n: every ordering gives the derivative at empty
+            with pytest.raises(ValueError, match="flat"):
+                stv_sampled(g, k, plan)
+        else:
+            assert stv_sampled(g, k, plan).meta["range"] == 2.0 * spread
