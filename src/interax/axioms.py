@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, PlayerSet, combine, from_function, make_interaction, relabel
+from .games import Game, PlayerSet, combine, make_interaction, make_tabular, relabel
 from .indices import efficiency_residual, stv_exact
 
 LINEARITY_TOL = 1e-9
@@ -38,8 +38,7 @@ def check_linearity(game: Game, k: int, seed: int) -> AxiomCheck:
     """Index of alpha*v + beta*w must equal the same combination of indices."""
     rng = np.random.default_rng(seed)
     n = game.n
-    other = from_function(n, lambda m, vals=rng.normal(size=1 << n): float(vals[m]),
-                          "companion")
+    other = make_tabular(n, rng.normal(size=1 << n))
     alpha, beta = 0.75, -1.25
     combined = stv_exact(combine(alpha, game, beta, other), k)
     left = stv_exact(game, k)
@@ -68,16 +67,16 @@ def check_dummy(game: Game, k: int, seed: int) -> AxiomCheck:
     n = game.n + 1
     c = float(rng.normal()) or 1.0
     base_empty = game.value(0)
-    new_bit = 1 << (n - 1)
+    new_bit = np.uint64(1 << (n - 1))
 
-    def fn(mask: int) -> float:
-        inner = game.value(mask & (new_bit - 1)) - base_empty
-        return inner + (c if mask & new_bit else 0.0)
+    def values(masks: np.ndarray) -> np.ndarray:
+        inner = game.values(masks & (new_bit - np.uint64(1))) - base_empty
+        return inner + np.where(masks & new_bit, c, 0.0)
 
-    extended = from_function(n, fn, "dummy-extended")
+    extended = Game(n, values, "dummy-extended")
     result = stv_exact(extended, k)
     span = abs(extended.span())
-    worst_single = abs(result.values[PlayerSet(new_bit, n)] - c)
+    worst_single = abs(result.values[PlayerSet(1 << (n - 1), n)] - c)
     worst_zero = 0.0
     for pset, val in result.values.items():
         if pset.size >= 2 and pset.contains(n - 1):

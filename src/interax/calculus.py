@@ -44,11 +44,6 @@ def masks_of_size(n: int, size: int):
         mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
 
 
-def signed_by_parity(k: int) -> int:
-    """(-1)**k computed from parity, never through float pow."""
-    return -1 if k & 1 else 1
-
-
 def discrete_derivative(game: Game, diff_set, at) -> float:
     """Derivative of the game with respect to diff_set, evaluated at `at`.
 
@@ -64,18 +59,49 @@ def discrete_derivative(game: Game, diff_set, at) -> float:
     if s_mask.bit_count() > DENSE_LIMIT:
         raise ValueError(
             f"derivative order {s_mask.bit_count()} exceeds the {DENSE_LIMIT} guard")
-    return derivative(game, s_mask, t_mask)
+    return float(derivative(game, s_mask, t_mask))
 
 
-def derivative(game: Game, s_mask: int, t_mask: int) -> float:
-    """`discrete_derivative` on two disjoint bitmasks, without the checks.
+def derivative(game: Game, s_masks, t_masks) -> np.ndarray:
+    """`discrete_derivative` on arrays of bitmasks, without the checks.
 
-    The alternating sum over the submasks W of s_mask of v(W | t_mask),
-    added by math.fsum, so the result is correctly rounded.
+    s_masks (all of one size k) and t_masks broadcast together.  Each pair
+    takes one `values` batch of the 2^k sets W | T, W a submask of S, and
+    differences it one member of S at a time, smallest first: a fixed
+    sequence of float operations, so a derivative is the same float in
+    any batch.
     """
-    s = s_mask.bit_count()
-    return fsum(signed_by_parity(s - w.bit_count()) * game.value(w | t_mask)
-                for w in iter_submasks(s_mask))
+    s_masks, t_masks = np.broadcast_arrays(np.asarray(s_masks, dtype=np.uint64),
+                                           np.asarray(t_masks, dtype=np.uint64))
+    sizes = np.bitwise_count(s_masks)
+    if sizes.size and (sizes != sizes.flat[0]).any():
+        raise ValueError("derivative sets must all have the same size")
+    subs, rest = np.zeros(s_masks.shape + (1,), dtype=np.uint64), s_masks
+    for _ in range(int(sizes.flat[0]) if sizes.size else 0):
+        low = rest & (~rest + np.uint64(1))  # the smallest member left
+        rest = rest ^ low
+        subs = np.concatenate([subs, subs | low[..., None]], axis=-1)
+    vals = game.values(subs | t_masks[..., None])
+    while vals.shape[-1] > 1:
+        vals = vals[..., 1::2] - vals[..., 0::2]
+    return vals[..., 0]
+
+
+def ordering_prefixes(perms: np.ndarray, s_masks) -> np.ndarray:
+    """Entry [i, j]: the players that ordering i places before all of set j.
+
+    perms stacks orderings of range(n) as rows; s_masks are nonempty sets
+    of one size.
+    """
+    bits = np.uint64(1) << perms.astype(np.uint64)
+    before = np.empty_like(bits)  # before[i, p]: the players ahead of p
+    np.put_along_axis(before, perms, np.cumsum(bits, axis=1) - bits, axis=1)
+    members = np.array([ids_from_mask(s) for s in s_masks])
+    # prefixes are nested, so the earliest member's is the smallest mask
+    prefixes = before[:, members[:, 0]]
+    for column in members.T[1:]:
+        np.minimum(prefixes, before[:, column], out=prefixes)
+    return prefixes
 
 
 def derivative_table(table: np.ndarray, n: int, s_mask: int) -> np.ndarray:
@@ -246,8 +272,9 @@ def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:
     union = s_mask | t_mask
     if union.bit_count() > DENSE_LIMIT:
         raise ValueError(f"combined order exceeds the {DENSE_LIMIT} guard")
-    lhs = derivative(game, union, 0)  # a(T | S) as a derivative at empty
+    lhs = float(derivative(game, union, 0))  # a(T | S) as a derivative at empty
     t = t_mask.bit_count()
-    rhs = fsum(signed_by_parity(t - w.bit_count()) * derivative(game, s_mask, w)
-               for w in iter_submasks(t_mask))
+    subs = list(iter_submasks(t_mask))
+    rhs = fsum(-d if (t - w.bit_count()) & 1 else d
+               for w, d in zip(subs, derivative(game, s_mask, subs).tolist()))
     return lhs, rhs

@@ -24,7 +24,9 @@ import numpy as np
 
 MAX_PLAYERS = 64
 DENSE_LIMIT = 24  # hard cap for any 2^n table or sweep
-DEFAULT_EXTERNAL_CACHE = 1 << 20
+MEMO_SIZE = 1 << 20  # subsets kept by the memo of callable and external games
+_FILL_BLOCK = 1 << 16  # masks per values() call while filling a dense table
+_QUERY_CHUNK = 512  # external queries sent before their replies are read
 
 
 class EvaluationError(RuntimeError):
@@ -119,42 +121,68 @@ def popcounts(count: int) -> np.ndarray:
 
 
 class Game:
-    """A value oracle v: 2^N -> R with a per-instance memo cache.
+    """A set function v: 2^N -> R behind one batch primitive, `values`.
 
-    Evaluation is deterministic: the first computed value for a subset is
-    cached and every later call returns the identical float; a value that
-    is not finite raises ValueError instead.  The memo is
-    unbounded here (fine for n <= 24 dense work); ExternalGame swaps in an
-    LRU-bounded cache.  Cache writes are serialized so concurrent readers
-    are safe.
+    Each kind defines one map from a uint64 mask array to float64 values,
+    and `value` and `dense_table` call it, so a subset has one value on
+    every route; a value that is not finite raises ValueError.  Callable
+    and external games keep an LRU memo of at most `memo_size` subsets
+    (computed once while kept there; updates are serialized, so concurrent
+    readers are safe).  Closed-form and table games need no memo.
     """
 
-    def __init__(self, n: int, fn: Callable[[int], float], kind: str,
-                 params: Mapping | None = None,
-                 dense_fill: Callable[[], np.ndarray] | None = None):
+    def __init__(self, n: int, values: Callable[[np.ndarray], np.ndarray], kind: str,
+                 params: Mapping | None = None, memo_size: int | None = None):
         if not 1 <= n <= MAX_PLAYERS:
             raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
+        if memo_size is not None and memo_size < 1:
+            raise ValueError("memo size must be positive")
         self.n = n
         self.kind = kind
         self.params = dict(params or {})
-        self._fn = fn
-        self._dense_fill = dense_fill
-        self._cache: dict[int, float] = {}
+        self._values = values
+        self._memo = None if memo_size is None else OrderedDict()
+        self._memo_size = memo_size
         self._lock = threading.Lock()
         self.derived: dict[str, object] = {}  # dense table, Mobius coefficients, ...
+
+    def values(self, masks) -> np.ndarray:
+        """v at every bitmask of an integer array, as float64 of the same shape."""
+        masks = np.asarray(masks, dtype=np.uint64)
+        flat = masks.reshape(-1)
+        if flat.size and int(flat.max()) >> self.n:
+            raise ValueError(f"mask {int(flat.max()):#x} out of range for {self.n} players")
+        out = np.asarray(self._values(flat) if self._memo is None
+                         else self._memoized(flat), dtype=np.float64)
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"the {self.kind} game has a non-finite value: subset "
+                             f"{ids_from_mask(int(flat[i]))} is {float(out[i])!r}, "
+                             "not finite")
+        return out.reshape(masks.shape)
+
+    def _memoized(self, masks: np.ndarray) -> np.ndarray:
+        keys, where = np.unique(masks, return_inverse=True)
+        keys = keys.tolist()
+        with self._lock:
+            found = [self._memo.get(key) for key in keys]
+        fresh = iter(self._values(np.array([key for key, val in zip(keys, found)
+                                            if val is None], dtype=np.uint64)).tolist())
+        with self._lock:
+            # each key moves to the recent end; a value stored first, maybe by
+            # another thread, wins
+            found = [self._memo.pop(key, next(fresh) if val is None else val)
+                     for key, val in zip(keys, found)]
+            self._memo.update(zip(keys, found))
+            while len(self._memo) > self._memo_size:
+                self._memo.popitem(last=False)
+        return np.array(found)[where]
 
     def value(self, subset) -> float:
         """Evaluate v on a subset (PlayerSet, bitmask, or iterable of ids)."""
         mask = as_mask(subset, self.n)
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        val = float(self._fn(mask))
-        if not math.isfinite(val):
-            raise ValueError(f"game value of subset {ids_from_mask(mask)} is {val!r}, "
-                             "not finite")
-        with self._lock:
-            return self._cache.setdefault(mask, val)
+        return float(self.values(np.array([mask], dtype=np.uint64))[0])
 
     def span(self) -> float:
         """v(N) - v(0), the total value the indices must distribute."""
@@ -168,16 +196,10 @@ class Game:
         table = self.derived.get("dense_table")
         if table is not None:
             return table
-        if self._dense_fill is not None:
-            table = np.asarray(self._dense_fill(), dtype=np.float64)
-            if not np.isfinite(table).all():
-                raise ValueError(f"the {self.kind} game has non-finite values")
-        else:
-            # route through value() so memo/LRU and protocol serialization
-            # stay authoritative; racing builders produce identical tables
-            table = np.empty(1 << self.n, dtype=np.float64)
-            for mask in range(1 << self.n):
-                table[mask] = self.value(mask)
+        table = np.empty(1 << self.n, dtype=np.float64)
+        for start in range(0, table.size, _FILL_BLOCK):
+            stop = min(start + _FILL_BLOCK, table.size)
+            table[start:stop] = self.values(np.arange(start, stop, dtype=np.uint64))
         table.setflags(write=False)
         with self._lock:
             return self.derived.setdefault("dense_table", table)
@@ -185,6 +207,14 @@ class Game:
     def __repr__(self):
         extra = "".join(f", {k}={v!r}" for k, v in self.params.items())
         return f"{type(self).__name__}(n={self.n}, kind={self.kind!r}{extra})"
+
+
+def spread_bits(masks: np.ndarray, players: Sequence[int]) -> np.ndarray:
+    """The masks with bit j moved to bit players[j], for every j."""
+    out = np.zeros_like(masks)
+    for j, player in enumerate(players):
+        out |= (masks >> np.uint64(j) & np.uint64(1)) << np.uint64(player)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +226,9 @@ def make_unanimity(n: int, winners) -> Game:
     t = as_mask(winners, n)
     if t == 0:
         raise ValueError("unanimity games need a nonempty winning set")
-    pset = PlayerSet(t, n)
-
-    def fill():
-        masks = np.arange(1 << n, dtype=np.uint64)
-        return ((masks & np.uint64(t)) == np.uint64(t)).astype(np.float64)
-
-    return Game(n, lambda m: 1.0 if m & t == t else 0.0, "unanimity",
-                {"set": pset.members()}, dense_fill=fill if n <= DENSE_LIMIT else None)
+    t = np.uint64(t)
+    return Game(n, lambda m: (m & t == t).astype(np.float64), "unanimity",
+                {"set": ids_from_mask(int(t))})
 
 
 def make_interaction(n: int, winners, c: float) -> Game:
@@ -212,15 +237,9 @@ def make_interaction(n: int, winners, c: float) -> Game:
     if t == 0:
         raise ValueError("interaction games need a nonempty winning set")
     c = float(c)
-    pset = PlayerSet(t, n)
-
-    def fill():
-        masks = np.arange(1 << n, dtype=np.uint64)
-        return np.where((masks & np.uint64(t)) == np.uint64(t), c, 0.0)
-
-    return Game(n, lambda m: c if m & t == t else 0.0, "interaction",
-                {"set": pset.members(), "c": c},
-                dense_fill=fill if n <= DENSE_LIMIT else None)
+    t = np.uint64(t)
+    return Game(n, lambda m: np.where(m & t == t, c, 0.0), "interaction",
+                {"set": ids_from_mask(int(t)), "c": c})
 
 
 def make_majority(n: int) -> Game:
@@ -230,40 +249,23 @@ def make_majority(n: int) -> Game:
     """
     if n < 1:
         raise ValueError("majority game needs n >= 1")
-
-    def fill():
-        return (2 * popcounts(1 << n) >= n).astype(np.float64)
-
-    return Game(n, lambda m: 1.0 if 2 * m.bit_count() >= n else 0.0, "majority",
-                dense_fill=fill if n <= DENSE_LIMIT else None)
+    return Game(n, lambda m: (2 * np.bitwise_count(m) >= n).astype(np.float64),
+                "majority")
 
 
 def make_linear_crosses(c: float) -> Game:
     """Three additive players plus a single triple cross with coefficient c."""
     c = float(c)
-
-    def fill():
-        pc = popcounts(8).astype(np.float64)
-        pc[7] += c
-        return pc
-
-    return Game(3, lambda m: float(m.bit_count()) + (c if m == 7 else 0.0),
-                "linear-crosses", {"c": c}, dense_fill=fill)
+    return Game(3, lambda m: np.bitwise_count(m) + np.where(m == 7, c, 0.0),
+                "linear-crosses", {"c": c})
 
 
 def make_product(n: int) -> Game:
     """Game worth 1 only on the grand coalition (unanimity on N)."""
     if n < 1:
         raise ValueError("product game needs n >= 1")
-    full = (1 << n) - 1
-
-    def fill():
-        out = np.zeros(1 << n, dtype=np.float64)
-        out[full] = 1.0
-        return out
-
-    return Game(n, lambda m: 1.0 if m == full else 0.0, "product",
-                dense_fill=fill if n <= DENSE_LIMIT else None)
+    full = np.uint64((1 << n) - 1)
+    return Game(n, lambda m: (m == full).astype(np.float64), "product")
 
 
 def make_tabular(n: int, values: Sequence[float]) -> Game:
@@ -278,15 +280,17 @@ def make_tabular(n: int, values: Sequence[float]) -> Game:
         raise ValueError("tabular values must all be finite")
     table = table.copy()
     table.setflags(write=False)
-    return Game(n, lambda m: float(table[m]), "tabular", dense_fill=lambda: table)
+    game = Game(n, lambda m: table[m], "tabular")
+    game.derived["dense_table"] = table  # already the whole table
+    return game
 
 
 def make_mobius_game(n: int, terms: Mapping) -> Game:
     """Game reconstructed from sparse Mobius coefficients.
 
     `terms` maps subsets (PlayerSet, mask, or id-iterable) to coefficients;
-    v(S) is the sum of coefficients over subsets of S.  Works for any
-    n <= 64; the dense table is only materialized on demand (n <= 24).
+    v(S) is the sum of coefficients over subsets of S, added in ascending
+    mask order of the terms.  Works for any n <= 64.
     """
     coefs: dict[int, float] = {}
     for key, c in terms.items():
@@ -296,21 +300,14 @@ def make_mobius_game(n: int, terms: Mapping) -> Game:
         coefs[mask] = float(c)
     ordered = sorted(coefs.items())
 
-    def fn(m: int) -> float:
-        return float(sum(c for t, c in ordered if t & ~m == 0))
-
-    def fill():
-        out = np.zeros(1 << n, dtype=np.float64)
+    def values(masks: np.ndarray) -> np.ndarray:
+        out = np.zeros(masks.shape)
         for t, c in ordered:
-            out[t] = c
-        # in-place zeta transform: accumulate each coefficient onto supersets
-        for i in range(n):
-            view = out.reshape(-1, 2, 1 << i)
-            view[:, 1, :] += view[:, 0, :]
+            t = np.uint64(t)
+            np.add(out, c, out=out, where=masks & t == t)
         return out
 
-    return Game(n, fn, "mobius", {"terms": ordered},
-                dense_fill=fill if n <= DENSE_LIMIT else None)
+    return Game(n, values, "mobius", {"terms": ordered})
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,10 @@ def mobius_document(n: int, terms: Mapping) -> dict:
 
 def _read_document(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise ValueError(f"{path}: not a game file (missing 'format' field)")
     return doc
@@ -386,7 +386,8 @@ def load_game(path) -> Game:
 def from_function(n: int, fn: Callable[[int], float], kind: str = "function",
                   params: Mapping | None = None) -> Game:
     """Wrap an arbitrary mask -> real callable as a (memoized) game."""
-    return Game(n, fn, kind, params)
+    return Game(n, lambda m: np.array([fn(mask) for mask in m.tolist()], dtype=np.float64),
+                kind, params, memo_size=MEMO_SIZE)
 
 
 def combine(alpha: float, left: Game, beta: float, right: Game) -> Game:
@@ -394,8 +395,7 @@ def combine(alpha: float, left: Game, beta: float, right: Game) -> Game:
     if left.n != right.n:
         raise ValueError(f"cannot combine games on {left.n} and {right.n} players")
     alpha, beta = float(alpha), float(beta)
-    return Game(left.n,
-                lambda m: alpha * left.value(m) + beta * right.value(m),
+    return Game(left.n, lambda m: alpha * left.values(m) + beta * right.values(m),
                 "combination", {"alpha": alpha, "beta": beta})
 
 
@@ -407,15 +407,8 @@ def relabel(game: Game, perm: Sequence[int]) -> Game:
     inv = [0] * n
     for old, new in enumerate(perm):
         inv[new] = old
-
-    def fn(mask: int) -> float:
-        pre = 0
-        for new in range(n):
-            if mask >> new & 1:
-                pre |= 1 << inv[new]
-        return game.value(pre)
-
-    return Game(n, fn, "relabeled", {"perm": tuple(perm)})
+    return Game(n, lambda m: game.values(spread_bits(m, inv)), "relabeled",
+                {"perm": tuple(perm)})
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +421,17 @@ class ExternalGame(Game):
     Handshake: parent sends ``INIT <n>``, child answers ``OK``.  Each query
     is an n-character 0/1 string (character i is player i's membership);
     the child answers one decimal real per line.  ``QUIT`` ends the session.
-    Round-trips are serialized (one in-flight request per child) and results
-    are memoized in an LRU cache so a subset is sent at most once.
+    Subsets that miss the memo go out in chunks of at most 512 queries, one
+    chunk in flight at a time, and all its replies are read before the next:
+    a chunk stays below the pipe buffer, so neither side blocks the other.
     """
 
-    def __init__(self, command: str, n: int, cache_size: int = DEFAULT_EXTERNAL_CACHE):
-        super().__init__(n, self._evaluate, "external", {"command": command})
-        if cache_size < 1:
-            raise ValueError("cache_size must be positive")
-        self._lru: OrderedDict[int, float] = OrderedDict()
-        self._cache_size = cache_size
+    # an own entry, so a wrapper installed on Game.value is not applied twice
+    value = Game.value
+
+    def __init__(self, command: str, n: int, cache_size: int = MEMO_SIZE):
+        super().__init__(n, self._query, "external", {"command": command},
+                         memo_size=cache_size)
         self._proto_lock = threading.Lock()
         argv = shlex.split(command)
         if not argv:
@@ -448,47 +442,41 @@ class ExternalGame(Game):
                 text=True, encoding="utf-8", bufsize=1)
         except OSError as exc:
             raise EvaluationError(f"could not start {argv[0]!r}: {exc}") from exc
-        reply = self._round_trip(f"INIT {n}")
+        reply = self._exchange([f"INIT {n}"])[0]
         if reply != "OK":
             self.close()
             raise EvaluationError(f"bad INIT handshake, child said {reply!r}")
 
-    def _round_trip(self, line: str) -> str:
-        assert self._child.stdin is not None and self._child.stdout is not None
-        try:
-            self._child.stdin.write(line + "\n")
-            self._child.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise EvaluationError(f"child pipe closed while sending {line!r}") from exc
-        reply = self._child.stdout.readline()
-        if reply == "":
-            code = self._child.poll()
-            raise EvaluationError(f"child exited (status {code}) before replying")
-        return reply.rstrip("\n")
-
-    def _evaluate(self, mask: int) -> float:
-        query = "".join("1" if mask >> i & 1 else "0" for i in range(self.n))
-        reply = self._round_trip(query)
-        try:
-            val = float(reply)
-        except ValueError:
-            raise EvaluationError(f"non-numeric reply {reply!r} for subset {query}") \
-                from None
-        if not math.isfinite(val):
-            raise EvaluationError(f"non-finite reply {reply!r} for subset {query}")
-        return val
-
-    def value(self, subset) -> float:
-        mask = as_mask(subset, self.n)
+    def _exchange(self, lines: list[str]) -> list[str]:
+        """Send the lines, then read one reply per line."""
         with self._proto_lock:
-            if mask in self._lru:
-                self._lru.move_to_end(mask)
-                return self._lru[mask]
-            val = self._evaluate(mask)
-            self._lru[mask] = val
-            if len(self._lru) > self._cache_size:
-                self._lru.popitem(last=False)
-            return val
+            try:
+                self._child.stdin.write("".join(line + "\n" for line in lines))
+                self._child.stdin.flush()
+            except OSError as exc:
+                raise EvaluationError(
+                    f"child pipe closed while sending {lines[0]!r}") from exc
+            replies = [self._child.stdout.readline() for _ in lines]
+        if "" in replies:
+            raise EvaluationError(
+                f"child exited (status {self._child.poll()}) before replying")
+        return [reply.rstrip("\n") for reply in replies]
+
+    def _query(self, masks: np.ndarray) -> np.ndarray:
+        bits = masks[:, None] >> np.arange(self.n, dtype=np.uint64) & np.uint64(1)
+        queries = ["".join(row) for row in bits.astype(str).tolist()]
+        out = np.empty(len(queries))
+        for start in range(0, len(queries), _QUERY_CHUNK):
+            chunk = queries[start:start + _QUERY_CHUNK]
+            for i, (query, reply) in enumerate(zip(chunk, self._exchange(chunk)), start):
+                try:
+                    out[i] = float(reply)
+                except ValueError:
+                    raise EvaluationError(
+                        f"non-numeric reply {reply!r} for subset {query}") from None
+                if not math.isfinite(out[i]):
+                    raise EvaluationError(f"non-finite reply {reply!r} for subset {query}")
+        return out
 
     def close(self):
         """Send QUIT, wait for the child to exit and close both pipes."""
@@ -514,6 +502,6 @@ class ExternalGame(Game):
 
 
 def attach_external(command: str, n: int,
-                    cache_size: int = DEFAULT_EXTERNAL_CACHE) -> ExternalGame:
+                    cache_size: int = MEMO_SIZE) -> ExternalGame:
     """Spawn `command` and wrap it as a game on n players."""
     return ExternalGame(command, n, cache_size)

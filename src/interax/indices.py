@@ -30,10 +30,10 @@ from math import comb, factorial, fsum
 
 import numpy as np
 
-from .calculus import (derivative, masks_of_size, mobius_dense, superset_sums,
-                       superset_view, weighted_terms)
+from .calculus import (derivative, masks_of_size, mobius_dense, ordering_prefixes,
+                       superset_sums, superset_view, weighted_terms)
 from .games import (DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask,
-                    mask_from_ids, popcounts)
+                    mask_from_ids, popcounts, spread_bits)
 
 ORACLE_LIMIT = 8  # n! permutations are enumerated outright
 
@@ -134,23 +134,12 @@ def stv_permutation_oracle(game: Game, k: int) -> IndexResult:
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     values = _mobius_values(game, range(1, k))
-    targets = [(m, ids_from_mask(m)) for m in masks_of_size(n, k)]
-    tallies: list[dict[int, int]] = [{} for _ in targets]
-    before = [0] * n
-    for perm in itertools.permutations(range(n)):
-        prefix = 0
-        for player in perm:
-            before[player] = prefix
-            prefix |= 1 << player
-        # prefixes are nested, so the earliest member's is the smallest mask
-        for tally, (_, members) in zip(tallies, targets):
-            first = min(before[p] for p in members)
-            tally[first] = tally.get(first, 0) + 1
-    total = factorial(n)
-    for tally, (s_mask, _) in zip(tallies, targets):
-        acc = fsum(count * derivative(game, s_mask, at)
-                   for at, count in sorted(tally.items()))
-        values[PlayerSet(s_mask, n)] = acc / total
+    targets = list(masks_of_size(n, k))
+    prefixes = ordering_prefixes(np.array(list(itertools.permutations(range(n)))), targets)
+    for s_mask, column in zip(targets, prefixes.T):
+        at, count = np.unique(column, return_counts=True)
+        terms = count * derivative(game, s_mask, at)
+        values[PlayerSet(s_mask, n)] = fsum(terms.tolist()) / factorial(n)
     return IndexResult("stv", k, values, {"mode": "permutation-oracle"})
 
 
@@ -226,16 +215,8 @@ def restrict_players(game: Game, keep, fill: str = "baseline") -> Game:
         raise ValueError(f"fill must be 'baseline' or 'grand', got {fill!r}")
     kept = ids_from_mask(keep_mask)
     outside = ((1 << game.n) - 1) & ~keep_mask
-    base = outside if fill == "grand" else 0
-
-    def fn(sub_mask: int) -> float:
-        lifted = base
-        for j, player in enumerate(kept):
-            if sub_mask >> j & 1:
-                lifted |= 1 << player
-        return game.value(lifted)
-
-    return Game(len(kept), fn, "restricted",
+    base = np.uint64(outside if fill == "grand" else 0)
+    return Game(len(kept), lambda m: game.values(base | spread_bits(m, kept)), "restricted",
                 {"kept": kept, "fill": fill, "parent": game.kind})
 
 

@@ -10,10 +10,10 @@ the route for external evaluators.
 Permutations come from a counter-based generator (Philox, 64-bit keys):
 the permutation for sample i is keyed by (seed, stream, i), and per-target
 sums go through numpy's pairwise reduction, so a result is reproducible
-bit for bit from its seed.  The draw loop is serial: it runs Python code
-under the interpreter lock, where worker threads only add overhead.  The
-sample-size rule m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual
-Hoeffding guarantee for derivatives bounded by r in magnitude.
+bit for bit from its seed.  The draws of a block of orderings reach the
+game as one batch of subsets.  The sample-size rule
+m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual Hoeffding guarantee
+for derivatives bounded by r in magnitude.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from operator import or_
 
 import numpy as np
 
-from .calculus import derivative, masks_of_size
-from .games import Game, PlayerSet, as_mask, ids_from_mask, mask_from_ids
+from .calculus import derivative, masks_of_size, ordering_prefixes
+from .games import Game, PlayerSet, as_mask, ids_from_mask, spread_bits
 from .indices import IndexResult
 
 _MASK64 = (1 << 64) - 1
+_DRAW_BLOCK = 1 << 18  # game evaluations per block of draws
 _WARMUP_DRAWS = 64
 _MAIN_STREAM = 0
 _WARMUP_STREAM = 1
@@ -56,8 +57,9 @@ class SamplingPlan:
     Either fix the sample count directly, or give (epsilon, delta) and a
     range bound; a missing range bound is estimated from a 64-permutation
     warmup (max minus min of the observed derivatives, doubled) and noted
-    in the result metadata.  targets, when given, restricts estimation to
-    those size-k sets.
+    in the result metadata.  At k = n an error budget needs one draw: the
+    only size-k set is N, whose derivative is the same in every ordering.
+    targets, when given, restricts estimation to those size-k sets.
     """
 
     seed: int
@@ -106,17 +108,14 @@ def sample_permutation(seed: int, index: int, n: int,
 def _draw_matrix(game: Game, target_masks, m: int, seed: int,
                  stream: int = _MAIN_STREAM) -> np.ndarray:
     """Per-target, per-sample derivative draws; column i uses stream (seed, i)."""
+    targets = np.array(target_masks, dtype=np.uint64)
     matrix = np.empty((len(target_masks), m), dtype=np.float64)
-    members = [ids_from_mask(t) for t in target_masks]
-    before = [0] * game.n
-    for idx in range(m):
-        prefix = 0
-        for player in sample_permutation(seed, idx, game.n, stream).tolist():
-            before[player] = prefix
-            prefix |= 1 << player
-        # prefixes are nested, so the earliest member's is the smallest mask
-        for t_idx, (s_mask, mem) in enumerate(zip(target_masks, members)):
-            matrix[t_idx, idx] = derivative(game, s_mask, min(before[p] for p in mem))
+    step = max(1, _DRAW_BLOCK // (len(target_masks) << target_masks[0].bit_count()))
+    for start in range(0, m, step):
+        perms = np.array([sample_permutation(seed, i, game.n, stream)
+                          for i in range(start, min(start + step, m))])
+        prefixes = ordering_prefixes(perms, target_masks)
+        matrix[:, start:start + len(perms)] = derivative(game, targets[:, None], prefixes.T)
     return matrix
 
 
@@ -144,9 +143,9 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
     scope = range(n) if targets is None else ids_from_mask(reduce(or_, target_masks))
     values: dict[PlayerSet, float] = {}
     for j in range(1, k):
-        for packed in masks_of_size(len(scope), j):
-            s_mask = mask_from_ids(p for b, p in enumerate(scope) if packed >> b & 1)
-            values[PlayerSet(s_mask, n)] = derivative(game, s_mask, 0)
+        s_masks = spread_bits(np.fromiter(masks_of_size(len(scope), j), np.uint64), scope)
+        for s_mask, val in zip(s_masks.tolist(), derivative(game, s_masks, 0).tolist()):
+            values[PlayerSet(s_mask, n)] = val
     return target_masks, values
 
 
@@ -174,6 +173,9 @@ def stv_sampled(game: Game, k: int, plan: SamplingPlan) -> IndexResult:
     range_source = "user" if range_bound is not None else None
     if plan.samples is not None:
         m = plan.samples
+    elif k == game.n:
+        # the one target is N: every ordering gives its derivative at the empty set
+        m, range_source = 1, "exact"
     else:
         if range_bound is None:
             range_bound = _estimate_range(game, target_masks, plan.seed)

@@ -50,6 +50,16 @@ class TestIndexCommand:
         assert singles == [1.0, 1.0, 1.0]
         assert pairs == [1.0, 1.0, 1.0]
 
+    def test_error_budget_at_k_equal_n_is_exact(self, capsys):
+        # the one size-n set gets the same derivative from every ordering
+        rc = run(["index", "--builtin", "product:n=3", "--k", "3", "--mode", "sample",
+                  "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "range_source=exact" in out and "samples=1" in out
+        grand = out.strip().split("\n")[-1].split()
+        assert grand[:4] == ["0", "1", "2", "3"] and float(grand[-1]) == 1.0
+
     def test_csv_round_trip_bit_for_bit(self, tmp_path):
         emitted = tmp_path / "game.json"
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -244,7 +254,7 @@ class TestExitCodes:
         bad.write_text("{not json")
         rc = run(["index", "--tabular", str(bad)])
         assert rc == 1
-        assert str(bad) in capsys.readouterr().err or True
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestExternalViaCli:

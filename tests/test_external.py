@@ -2,6 +2,7 @@ import gc
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from interax import EvaluationError, attach_external, make_majority, stv_exact
@@ -51,6 +52,46 @@ class TestProtocol:
             other = ext.value([1])
             assert ext.value([0, 2]) == first
             assert other != first
+
+    def test_bad_reply_leaves_the_session_in_step(self):
+        # a majority child that answers ERR for the pair {0, 1}
+        prog = ("import sys\n"
+                "for line in sys.stdin:\n"
+                "    line = line.strip()\n"
+                "    if line.startswith('INIT'): print('OK', flush=True)\n"
+                "    elif line == 'QUIT': break\n"
+                "    elif line == '11000': print('ERR', flush=True)\n"
+                "    else: print(float(2 * line.count('1') >= 5), flush=True)\n")
+        with attach_external(f'{sys.executable} -c "{prog}"', 5) as ext:
+            with pytest.raises(EvaluationError, match="'ERR' for subset 11000"):
+                ext.values(np.arange(32))
+            # the replies after the bad one were read with it, not left queued
+            assert ext.value([2, 3, 4]) == 1.0
+            assert ext.value([1]) == 0.0
+
+    def test_one_query_per_distinct_subset(self):
+        # the child answers with its running query count
+        prog = ("import sys\n"
+                "count = 0\n"
+                "for line in sys.stdin:\n"
+                "    line = line.strip()\n"
+                "    if line.startswith('INIT'): print('OK', flush=True)\n"
+                "    elif line == 'QUIT': break\n"
+                "    else:\n"
+                "        count += 1\n"
+                "        print(float(count), flush=True)\n")
+        masks = np.random.default_rng(5).integers(0, 1 << 11, size=3000)
+        with attach_external(f'{sys.executable} -c "{prog}"', 11) as ext:
+            first = ext.values(np.concatenate([masks, masks[::-1]]))
+            distinct = np.unique(masks).size
+            assert distinct > 1000  # several chunks
+            assert sorted(set(first.tolist())) == list(map(float, range(1, distinct + 1)))
+            again = ext.values(masks)
+            assert np.array_equal(again, first[:masks.size])
+            assert ext.value(int(masks[0])) == first[0]
+            # a new subset is the next query
+            new = next(m for m in range(1 << 11) if m not in set(masks.tolist()))
+            assert ext.value(new) == distinct + 1.0
 
     def test_non_numeric_reply(self):
         prog = ("import sys\n"

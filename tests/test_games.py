@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from interax import SamplingPlan, games, stv_exact, stv_sampled
+from interax import SamplingPlan, games, restrict_players, stv_exact, stv_sampled
 from interax.games import (PlayerSet, from_function, load_game, load_mobius,
                            load_tabular, make_interaction, make_linear_crosses,
                            make_majority, make_mobius_game, make_product,
@@ -189,14 +189,33 @@ class TestMemoization:
         assert g.value([0, 2]) == first
         assert calls.count(0b101) == 1
 
-    def test_builtin_bit_identical(self):
+    def test_builtin_bit_identical(self, majority_child_command):
+        rng = np.random.default_rng(12)
+        terms = {}
+        while len(terms) < 24:
+            ids = rng.choice(12, int(rng.integers(1, 5)), replace=False)
+            terms[PlayerSet.from_ids(ids.tolist(), 12).bits] = float(rng.uniform(-1, 1))
+        mobius12 = make_mobius_game(12, terms)
+        table = make_tabular(5, rng.normal(size=32))
         families = [make_linear_crosses(0.3), make_majority(5),
                     make_unanimity(4, [1, 2]), make_interaction(4, [0, 3], -2.5),
-                    make_product(4), make_mobius_game(4, {0b11: 1.5, 0b100: -1.0})]
-        for g in families:
-            for mask in range(1 << g.n):
-                assert g.value(mask) == g.value(mask)
-                assert g.value(mask) == g.dense_table()[mask]
+                    make_product(4), make_mobius_game(4, {0b11: 1.5, 0b100: -1.0}),
+                    mobius12, table,
+                    from_function(5, lambda m: math.sin(m) / 3.0),
+                    games.combine(0.3, table, -1.7, make_mobius_game(5, {0b11: 0.1})),
+                    games.relabel(table, [3, 0, 4, 1, 2]),
+                    restrict_players(mobius12, [1, 4, 5, 7, 9, 11], "grand")]
+        with games.attach_external(majority_child_command, 5) as external:
+            for g in families + [external]:
+                table_values = g.dense_table()
+                for mask in range(1 << g.n):
+                    assert g.value(mask) == g.value(mask)
+                    assert g.value(mask) == g.values(np.array([mask]))[0]
+                    assert g.value(mask) == table_values[mask]
+        # a Mobius game adds its terms in ascending mask order on every route
+        ordered = sorted(terms.items())
+        for mask in range(1 << 12):
+            assert mobius12.value(mask) == sum(c for t, c in ordered if t & ~mask == 0)
 
 
 class TestFiles:

@@ -10,7 +10,8 @@ from helpers import all_masks_of_size, random_tabular
 from interax import (PlayerSet, SamplingPlan, discrete_derivative,
                      make_linear_crosses, make_majority, make_mobius_game,
                      make_tabular, make_unanimity, required_samples,
-                     sample_permutation, stv_exact, stv_sampled, stv_sampled_mom)
+                     sample_permutation, sampling, stv_exact, stv_sampled,
+                     stv_sampled_mom)
 
 # (n, k, seed, m): a random tabular game on n players, seeded by `seed`
 DRAW_CASES = st.integers(2, 7).flatmap(lambda n: st.tuples(
@@ -188,6 +189,19 @@ class TestStvSampled:
         assert failures / runs <= delta + 0.02
 
 
+class TestDrawBlocks:
+    @pytest.mark.parametrize("make_game,k,m", [
+        (lambda: make_majority(64), 2, 5),
+        (lambda: random_tabular(np.random.default_rng(9), 9), 3, 40)])
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch, make_game, k, m):
+        plan = SamplingPlan.from_samples(m, seed=2718)
+        results = []
+        for evaluations in (1, 1 << 40):  # one draw per block, all draws in one
+            monkeypatch.setattr(sampling, "_DRAW_BLOCK", evaluations)
+            results.append(stv_sampled(make_game(), k, plan).values)
+        assert results[0] == results[1]
+
+
 class TestMedianOfMeans:
     def test_single_group_reduces_to_plain_mean(self):
         g = make_linear_crosses(2.0)
@@ -277,7 +291,8 @@ class TestDrawProperties:
         spread = max(draws) - min(draws)
         plan = SamplingPlan.from_error_budget(1e3, 0.5, seed=seed)
         if spread == 0.0:  # k = n: every ordering gives the derivative at empty
-            with pytest.raises(ValueError, match="flat"):
-                stv_sampled(g, k, plan)
+            result = stv_sampled(g, k, plan)
+            assert (result.meta["samples"], result.meta["range_source"]) == (1, "exact")
+            assert result.values[PlayerSet.full(n)] == discrete_derivative(g, (1 << n) - 1, 0)
         else:
             assert stv_sampled(g, k, plan).meta["range"] == 2.0 * spread
