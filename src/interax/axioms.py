@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, PlayerSet, combine, make_interaction, make_tabular, relabel
-from .indices import efficiency_residual, stv_exact
+from .indices import IndexResult, efficiency_residual, stv_exact
 
 LINEARITY_TOL = 1e-9
 DUMMY_TOL = 1e-9
@@ -34,14 +34,13 @@ def _scaled(tol: float, *magnitudes: float) -> float:
     return tol * max(1.0, *(abs(m) for m in magnitudes))
 
 
-def check_linearity(game: Game, k: int, seed: int) -> AxiomCheck:
+def check_linearity(game: Game, left: IndexResult, seed: int) -> AxiomCheck:
     """Index of alpha*v + beta*w must equal the same combination of indices."""
     rng = np.random.default_rng(seed)
-    n = game.n
+    n, k = game.n, left.k
     other = make_tabular(n, rng.normal(size=1 << n))
     alpha, beta = 0.75, -1.25
     combined = stv_exact(combine(alpha, game, beta, other), k)
-    left = stv_exact(game, k)
     right = stv_exact(other, k)
     worst = 0.0
     scale = 1.0
@@ -88,13 +87,12 @@ def check_dummy(game: Game, k: int, seed: int) -> AxiomCheck:
                       f"containing-set residue {worst_zero:.3e} (tol {tol:.1e})")
 
 
-def check_symmetry(game: Game, k: int, seed: int) -> AxiomCheck:
+def check_symmetry(game: Game, original: IndexResult, seed: int) -> AxiomCheck:
     """Relabeling the players must relabel the values and nothing else."""
     rng = np.random.default_rng(seed)
     n = game.n
     perm = [int(p) for p in rng.permutation(n)]
-    relabeled = stv_exact(relabel(game, perm), k)
-    original = stv_exact(game, k)
+    relabeled = stv_exact(relabel(game, perm), original.k)
     worst = 0.0
     for pset, val in original.values.items():
         image = 0
@@ -105,9 +103,8 @@ def check_symmetry(game: Game, k: int, seed: int) -> AxiomCheck:
                       f"worst relabeled gap {worst:.3e} (tol {SYMMETRY_TOL:.1e})")
 
 
-def check_efficiency(game: Game, k: int) -> AxiomCheck:
-    """All values together must account for v(N) - v(0)."""
-    result = stv_exact(game, k)
+def check_efficiency(game: Game, result: IndexResult) -> AxiomCheck:
+    """All values of the game's index must account for v(N) - v(0)."""
     residual = abs(efficiency_residual(result, game))
     tol = _scaled(EFFICIENCY_TOL, game.span())
     return AxiomCheck("efficiency", residual <= tol, residual,
@@ -142,10 +139,11 @@ def run_axiom_checks(game: Game, k: int, seed: int) -> list[AxiomCheck]:
     if game.n > 23:
         raise ValueError("axiom checks extend the game by one player and "
                          f"sweep it exactly; need n <= 23, got n={game.n}")
+    result = stv_exact(game, k)
     return [
-        check_linearity(game, k, seed),
+        check_linearity(game, result, seed),
         check_dummy(game, k, seed + 1),
-        check_symmetry(game, k, seed + 2),
-        check_efficiency(game, k),
+        check_symmetry(game, result, seed + 2),
+        check_efficiency(game, result),
         check_interaction_distribution(game.n, k),
     ]

@@ -258,6 +258,20 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
     return {PlayerSet(m, n): v for m, v in zip(masks, sums)}
 
 
+def superset_sum(game: Game, subset, weight) -> float:
+    """`superset_sums` for one set S, with the same weight convention.
+
+    One O(2^(n - |S|)) gather of the cached Mobius coefficients, exact
+    products added by math.fsum: accurate to about the last unit.
+    """
+    s_mask = as_mask(subset, game.n)
+    s = s_mask.bit_count()
+    supersets = superset_view(game, s_mask)
+    terms = weighted_terms(supersets, popcounts(supersets.size),
+                           [weight(s + w) for w in range(game.n - s + 1)])
+    return fsum(np.concatenate(terms).tolist())
+
+
 def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:
     """Both sides of the coefficient/derivative identity, for checking.
 

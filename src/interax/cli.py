@@ -19,6 +19,7 @@ import argparse
 import json
 import secrets
 import sys
+from contextlib import contextmanager
 
 from . import analysis, axioms, games, indices, multilinear, sampling
 from .games import EvaluationError, Game
@@ -98,21 +99,25 @@ def _add_source_options(parser: argparse.ArgumentParser):
                      help="player count (required with --external)")
 
 
-def _load_source(args) -> Game:
+@contextmanager
+def _load_source(args):
+    """The game the source options name; an external child is closed on exit."""
     picked = [opt for opt in ("builtin", "tabular", "mobius", "external")
               if getattr(args, opt)]
     if len(picked) != 1:
         raise ValueError("exactly one of --builtin/--tabular/--mobius/--external "
                          "must be given")
     if args.builtin:
-        return parse_builtin(args.builtin)
-    if args.tabular:
-        return games.load_tabular(args.tabular)
-    if args.mobius:
-        return games.load_mobius(args.mobius)
-    if args.n is None:
+        yield parse_builtin(args.builtin)
+    elif args.tabular:
+        yield games.load_tabular(args.tabular)
+    elif args.mobius:
+        yield games.load_mobius(args.mobius)
+    elif args.n is None:
         raise ValueError("--external needs --n (the player count)")
-    return games.attach_external(args.external, args.n)
+    else:
+        with games.attach_external(args.external, args.n) as game:
+            yield game
 
 
 def _resolve_seed(args) -> tuple[int, bool]:
@@ -162,8 +167,7 @@ def _cmd_game_emit(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    game = _load_source(args)
-    try:
+    with _load_source(args) as game:
         if args.restrict:
             keep = parse_player_list(args.restrict)
             restricted = indices.restrict_players(game, keep, args.fill)
@@ -175,9 +179,6 @@ def _cmd_index(args) -> int:
             result = _compute_index(game, args)
         _write_output(_result_text(result, args.format), args.out)
         return 0
-    finally:
-        if isinstance(game, games.ExternalGame):
-            game.close()
 
 
 def _compute_index(game: Game, args) -> IndexResult:
@@ -225,42 +226,33 @@ def _compute_index(game: Game, args) -> IndexResult:
 
 
 def _cmd_verify_axioms(args) -> int:
-    game = _load_source(args)
-    try:
+    with _load_source(args) as game:
         seed, auto = _resolve_seed(args)
         checks = axioms.run_axiom_checks(game, args.k, seed)
-        result = indices.stv_exact(game, args.k)
-        residual = indices.efficiency_residual(result, game)
-        print(f"axiom checks for k={args.k}, seed={seed}"
-              + (" (auto-chosen)" if auto else ""))
-        ok = True
-        for check in checks:
-            status = "PASS" if check.passed else "FAIL"
-            ok = ok and check.passed
-            print(f"  {status}  {check.name}: {check.detail}")
-        print(f"  efficiency residual: {residual:.3e}")
-        return 0 if ok else 1
-    finally:
-        if isinstance(game, games.ExternalGame):
-            game.close()
+    residual = next(check.worst_error for check in checks if check.name == "efficiency")
+    print(f"axiom checks for k={args.k}, seed={seed}"
+          + (" (auto-chosen)" if auto else ""))
+    ok = True
+    for check in checks:
+        status = "PASS" if check.passed else "FAIL"
+        ok = ok and check.passed
+        print(f"  {status}  {check.name}: {check.detail}")
+    print(f"  efficiency residual: {residual:.3e}")
+    return 0 if ok else 1
 
 
 def _cmd_verify_taylor(args) -> int:
-    game = _load_source(args)
-    try:
+    with _load_source(args) as game:
         report = multilinear.taylor_identity_check(game, args.k,
                                                    remainder_mode=args.mode)
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{status}  k={report.k} remainder={report.remainder_mode}")
-        print(f"  lhs  (grand span)      = {report.lhs!r}")
-        print(f"  rhs  (expansion)       = {report.rhs!r}")
-        print(f"    lower-order total    = {report.lower_order_total!r}")
-        print(f"    remainder total      = {report.remainder_total!r}")
-        print(f"  |lhs - rhs| = {report.abs_error:.3e} (tol {report.tolerance:.3e})")
-        return 0 if report.passed else 1
-    finally:
-        if isinstance(game, games.ExternalGame):
-            game.close()
+    status = "PASS" if report.passed else "FAIL"
+    print(f"{status}  k={report.k} remainder={report.remainder_mode}")
+    print(f"  lhs  (grand span)      = {report.lhs!r}")
+    print(f"  rhs  (expansion)       = {report.rhs!r}")
+    print(f"    lower-order total    = {report.lower_order_total!r}")
+    print(f"    remainder total      = {report.remainder_total!r}")
+    print(f"  |lhs - rhs| = {report.abs_error:.3e} (tol {report.tolerance:.3e})")
+    return 0 if report.passed else 1
 
 
 def _cmd_analyze_majority(args) -> int:

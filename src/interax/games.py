@@ -328,7 +328,7 @@ def mobius_document(n: int, terms: Mapping) -> dict:
     return {"format": "mobius", "n": n, "terms": records}
 
 
-def _read_document(path) -> dict:
+def _read_document(path, fmt: str | None = None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -336,25 +336,34 @@ def _read_document(path) -> dict:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise ValueError(f"{path}: not a game file (missing 'format' field)")
+    if fmt is not None and doc["format"] != fmt:
+        raise ValueError(f"{path}: expected format {fmt!r}, got {doc['format']!r}")
     return doc
 
 
 def load_tabular(path) -> Game:
     """Load a dense tabular game from a JSON file."""
-    doc = _read_document(path)
-    if doc["format"] != "tabular":
-        raise ValueError(f"{path}: expected format 'tabular', got {doc['format']!r}")
-    try:
-        return make_tabular(int(doc["n"]), doc["values"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed tabular game ({exc})") from exc
+    return _game_from_document(path, _read_document(path, "tabular"))
 
 
 def load_mobius(path) -> Game:
     """Load a sparse Mobius game from a JSON file."""
-    doc = _read_document(path)
+    return _game_from_document(path, _read_document(path, "mobius"))
+
+
+def load_game(path) -> Game:
+    """Load either game file format, dispatching on its 'format' field."""
+    return _game_from_document(path, _read_document(path))
+
+
+def _game_from_document(path, doc: dict) -> Game:
+    if doc["format"] == "tabular":
+        try:
+            return make_tabular(int(doc["n"]), doc["values"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed tabular game ({exc})") from exc
     if doc["format"] != "mobius":
-        raise ValueError(f"{path}: expected format 'mobius', got {doc['format']!r}")
+        raise ValueError(f"{path}: unknown game format {doc['format']!r}")
     try:
         n = int(doc["n"])
         terms = {}
@@ -367,16 +376,6 @@ def load_mobius(path) -> Game:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed Mobius game ({exc})") from exc
     return make_mobius_game(n, terms)
-
-
-def load_game(path) -> Game:
-    """Load either game file format, dispatching on its 'format' field."""
-    doc = _read_document(path)
-    if doc["format"] == "tabular":
-        return load_tabular(path)
-    if doc["format"] == "mobius":
-        return load_mobius(path)
-    raise ValueError(f"{path}: unknown game format {doc['format']!r}")
 
 
 # ---------------------------------------------------------------------------

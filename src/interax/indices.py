@@ -14,11 +14,12 @@ pairwise interaction from the Shapley value), which restores efficiency by
 construction.
 
 Every index size is one O(n 2^n) pass of `superset_sums` over the
-cached Mobius coefficients, so exact runs reach n = 24.  The pass carries
-exact products and compensated sums, so large coefficients that cancel
-(the majority game's reach 1e6) do not cost accuracy; the order of
-operations is fixed, so results are bit-reproducible.  The README's notes
-on numerics give measured errors and times.
+cached Mobius coefficients, so exact runs reach n = 24, and `sii_exact`
+is one set's `superset_sum`.  The pass carries exact products and
+compensated sums, so large coefficients that cancel (the majority game's
+reach 1e6) do not cost accuracy; the order of operations is fixed, so
+results are bit-reproducible.  The README's notes on numerics give
+measured errors and times.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from math import comb, factorial, fsum
 import numpy as np
 
 from .calculus import (derivative, masks_of_size, mobius_dense, ordering_prefixes,
-                       superset_sums, superset_view, weighted_terms)
+                       superset_sum, superset_sums)
 from .games import (DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask,
-                    mask_from_ids, popcounts, spread_bits)
+                    mask_from_ids, spread_bits)
 
 ORACLE_LIMIT = 8  # n! permutations are enumerated outright
 
@@ -146,21 +147,16 @@ def stv_permutation_oracle(game: Game, k: int) -> IndexResult:
 def sii_exact(game: Game, subset) -> float:
     """Shapley interaction index of one nonempty subset.
 
-    The sum of a(T) / (|T| - |S| + 1) over the supersets T of S, one
-    O(2^(n - |S|)) gather rather than a full sweep.  The products are
-    split exactly and added by math.fsum, so the sum is accurate to about
-    the last unit.
+    The sum of a(T) / (|T| - |S| + 1) over the supersets T of S: one
+    `superset_sum` gather rather than a full sweep, accurate to about the
+    last unit.
     """
-    n = game.n
-    s_mask = as_mask(subset, n)
+    s_mask = as_mask(subset, game.n)
     if s_mask == 0:
         raise ValueError("interaction index needs a nonempty subset")
     _require_dense(game, "exact index computation")
-    supersets = superset_view(game, s_mask)
-    extra = n - s_mask.bit_count()
-    terms = weighted_terms(supersets, popcounts(supersets.size),
-                           [Fraction(1, w + 1) for w in range(extra + 1)])
-    return fsum(np.concatenate(terms).tolist())
+    s = s_mask.bit_count()
+    return superset_sum(game, s_mask, lambda t: Fraction(1, t - s + 1))
 
 
 def sii_index(game: Game, k: int) -> IndexResult:
@@ -183,15 +179,13 @@ def sii_main_effects(game: Game) -> IndexResult:
     v(N) - v(0) by construction.
     """
     n = game.n
-    _require_dense(game, "exact index computation")
-    phi = stv_exact(game, 1)
-    pairs = superset_sums(game, 2, lambda t: Fraction(1, t - 1))
-    values: dict[PlayerSet, float] = {}
+    # the size-1 interaction weight 1/|T| is the order-1 Taylor weight, so
+    # the singletons of the interaction index are the Shapley values
+    values = sii_index(game, min(2, n)).values
+    pairs = {pset: v for pset, v in values.items() if pset.size == 2}
     for i in range(n):
-        own = phi.values[PlayerSet(1 << i, n)]
         cross = fsum(v for pset, v in pairs.items() if pset.bits >> i & 1)
-        values[PlayerSet(1 << i, n)] = own - 0.5 * cross
-    values.update(pairs)
+        values[PlayerSet(1 << i, n)] -= 0.5 * cross
     return IndexResult("sii", 2, values,
                        {"mode": "exact", "convention": "main-effects"})
 

@@ -10,9 +10,10 @@ Lagrange remainder integrals
     integral_0^1 k (1-t)^(k-1) D_S f(t, ..., t) dt.
 
 The remainder is computed two independent ways: analytically, with exact
-integer Beta weights 1 / C(w+k, k), and by adaptive Simpson quadrature of
-the diagonal mixed partial.  The quadrature path exists purely as an
-oracle for the analytic one.
+integer Beta weights 1 / C(w+k, k), as the kernel's single-set sum
+`superset_sum`, and by adaptive Simpson quadrature of the diagonal mixed
+partial.  The quadrature path exists purely as an oracle for the analytic
+one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from math import comb, fsum
 
 import numpy as np
 
-from .calculus import masks_of_size, mobius_dense, superset_sums, superset_view
-from .games import Game, as_mask, popcounts
+from .calculus import masks_of_size, mobius_dense, superset_sum, superset_view
+from .games import Game, PlayerSet, as_mask, popcounts
+from .indices import _mobius_values, stv_exact
 
 TAYLOR_LIMIT = 20
 _QUAD_TOL = 1e-9
@@ -74,7 +76,10 @@ def mixed_partial_diagonal(game: Game, subset, t: float) -> float:
     """The mixed partial of f over `subset`, evaluated on the diagonal at t."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"diagonal coordinate must be in [0, 1], got {t}")
-    poly = diagonal_partial_poly(game, subset)
+    return _horner(diagonal_partial_poly(game, subset), t)
+
+
+def _horner(poly: np.ndarray, t: float) -> float:
     acc = 0.0
     for c in poly[::-1]:
         acc = acc * t + float(c)
@@ -108,27 +113,22 @@ def lagrange_remainder_term(game: Game, subset, k: int,
                             mode: str = "analytic") -> float:
     """The size-k remainder integral for one subset, |subset| = k.
 
-    mode="analytic" sums Mobius coefficients against exact Beta weights
-    1/C(w+k, k); mode="quadrature" integrates the diagonal mixed partial
-    numerically.  Both equal the subset's order-k Shapley-Taylor value.
+    mode="analytic" is the `superset_sum` of a(T) / C(|T|, k), the exact
+    Beta weights, to about the last unit; mode="quadrature" integrates the
+    diagonal mixed partial numerically.  Both equal the subset's order-k
+    Shapley-Taylor value.
     """
     s_mask = as_mask(subset, game.n)
     if s_mask.bit_count() != k:
         raise ValueError(
             f"remainder term needs |subset| = k; got size {s_mask.bit_count()} "
             f"with k={k}")
-    poly = diagonal_partial_poly(game, s_mask)
     if mode == "analytic":
-        return fsum(float(poly[w]) * float(Fraction(1, comb(w + k, k)))
-                    for w in range(poly.size))
+        return superset_sum(game, s_mask, lambda t: Fraction(1, comb(t, k)))
     if mode == "quadrature":
-        def integrand(t: float) -> float:
-            acc = 0.0
-            for c in poly[::-1]:
-                acc = acc * t + float(c)
-            return k * (1.0 - t) ** (k - 1) * acc
-
-        return adaptive_simpson(integrand, 0.0, 1.0, _QUAD_TOL)
+        poly = diagonal_partial_poly(game, s_mask)
+        return adaptive_simpson(lambda t: k * (1.0 - t) ** (k - 1) * _horner(poly, t),
+                                0.0, 1.0, _QUAD_TOL)
     raise ValueError(f"mode must be 'analytic' or 'quadrature', got {mode!r}")
 
 
@@ -153,7 +153,8 @@ def taylor_identity_check(game: Game, k: int,
 
     The left side is evaluated directly on the game; the right side sums
     diagonal mixed partials at 0 for sizes below k and remainder terms for
-    size k.  Passes when the two agree to 1e-7 relative.
+    size k, both read from `stv_exact` in the analytic mode.  Passes when
+    the two agree to 1e-7 relative.
     """
     n = game.n
     if n > TAYLOR_LIMIT:
@@ -161,15 +162,14 @@ def taylor_identity_check(game: Game, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
     lhs = game.span()
-    coefs = mobius_dense(game)
-    lower_terms = [float(coefs[s_mask])
-                   for j in range(1, k)
-                   for s_mask in masks_of_size(n, j)]
     if remainder_mode == "analytic":
-        remainder_terms = list(superset_sums(game, k, lambda t: Fraction(1, comb(t, k))).values())
+        values = stv_exact(game, k).values
     else:
-        remainder_terms = [lagrange_remainder_term(game, s_mask, k, remainder_mode)
-                           for s_mask in masks_of_size(n, k)]
+        values = _mobius_values(game, range(1, k))
+        values.update((PlayerSet(m, n), lagrange_remainder_term(game, m, k, remainder_mode))
+                      for m in masks_of_size(n, k))
+    lower_terms = [v for pset, v in values.items() if pset.size < k]
+    remainder_terms = [v for pset, v in values.items() if pset.size == k]
     lower_total = fsum(lower_terms)
     remainder_total = fsum(remainder_terms)
     rhs = fsum(lower_terms + remainder_terms)

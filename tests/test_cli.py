@@ -1,12 +1,15 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import interax
+from interax import games
 from interax.cli import parse_builtin, parse_player_list, run
 
 
@@ -280,3 +283,27 @@ class TestExternalViaCli:
                    "--format", "csv", "--out", str(b)])
         assert rc == 0 and rc2 == 0
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("verify", [["axioms", "--seed", "11"], ["taylor"]],
+                             ids=["axioms", "taylor"])
+    def test_verify_closes_the_child(self, verify, majority_child_command, monkeypatch,
+                                     capsys):
+        attached = []
+        attach = games.attach_external
+        monkeypatch.setattr(games, "attach_external",
+                            lambda *args: attached.append(attach(*args)) or attached[-1])
+        # an unclosed pipe warns from a finalizer, where an error-filtered
+        # warning cannot propagate; the unraisable hook catches it instead
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            rc = run(["verify", verify[0], "--external", majority_child_command,
+                      "--n", "3", "--k", "2", *verify[1:]])
+            # the child has exited before the game is collected
+            assert [game._child.returncode for game in attached] == [0]
+            attached.clear()
+            gc.collect()
+        assert rc == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert unraisable == []

@@ -260,6 +260,22 @@ class TestFiles:
         path.write_text(json.dumps(mobius_document(2, {0b11: 1.0})))
         assert load_game(path).kind == "mobius"
 
+    def test_load_game_reads_the_file_once(self, tmp_path, monkeypatch):
+        calls = []
+        read = games._read_document
+
+        def counting(*args):
+            calls.append(args[0])
+            return read(*args)
+
+        monkeypatch.setattr(games, "_read_document", counting)
+        for doc in (tabular_document(make_product(3)), mobius_document(2, {0b11: 1.0})):
+            path = tmp_path / f"{doc['format']}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            assert load_game(path).kind == doc["format"]
+            assert calls == [path]
+
     def test_tabular_length_mismatch_in_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "tabular", "n": 2,

@@ -12,6 +12,7 @@ from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      make_majority, make_mobius_game, make_product, make_tabular,
                      make_unanimity, restrict_players, shapley, sii_exact, sii_index,
                      sii_main_effects, stv_exact, stv_permutation_oracle)
+from interax import axioms
 from interax.analysis import majority_sii_by_size
 from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
 from interax.games import from_function, relabel
@@ -303,7 +304,12 @@ class TestKernelAgainstOracles:
                                              lambda t, s=s: Fraction(1, t - s + 1))
             assert abs(stv.values[pset] - want_stv) <= 1e-12
             assert abs(sii.values[pset] - want_sii) <= 1e-12
-
+        # the single-set gathers against the same references
+        for m in all_masks_of_size(n, 2)[:10]:
+            want_sii = mobius_sums_fractions(terms, m, lambda t: Fraction(1, t - 1))
+            want_stv = mobius_sums_fractions(terms, m, lambda t: Fraction(1, comb(t, 2)))
+            assert abs(sii_exact(g, m) - want_sii) <= 1e-12
+            assert abs(lagrange_remainder_term(g, m, 2, "analytic") - want_stv) <= 1e-12
 
     def test_majority_axioms_at_twenty_players(self):
         # majority's Mobius coefficients reach 9e4 in magnitude at n = 20 and
@@ -425,6 +431,21 @@ class TestAxiomProperties:
             for pset, val in original.values.items():
                 image = sum(1 << perm[i] for i in pset.members())
                 assert abs(imaged.values[PlayerSet(image, n)] - val) <= 1e-10
+
+    def test_axiom_checks_compute_the_index_once(self, monkeypatch):
+        g = make_majority(12)
+        calls = []
+
+        def counting(game, k):
+            calls.append(game)
+            return stv_exact(game, k)
+
+        monkeypatch.setattr(axioms, "stv_exact", counting)
+        checks = run_axiom_checks(g, 2, 11)
+        assert all(check.passed for check in checks)
+        assert sum(game is g for game in calls) == 1
+        # the combined, extended, relabeled and crossed companions get their own
+        assert len(calls) > 1
 
     def test_interaction_distribution_exact_zero(self):
         for n, order, k in [(5, 3, 2), (6, 4, 3), (4, 4, 2)]:

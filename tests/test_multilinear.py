@@ -165,6 +165,15 @@ class TestLagrangeRemainder:
                     assert lagrange_remainder_term(g, m, k, "quadrature") == \
                         pytest.approx(want, abs=1e-7)
 
+    def test_majority_pairs_hit_the_closed_form(self):
+        # majority's Mobius coefficients reach 6.4e3 at n = 16 and cancel down
+        # to pair values of 2 / (n (n - 1))
+        n = 16
+        g = make_majority(n)
+        for m in all_masks_of_size(n, 2):
+            got = lagrange_remainder_term(g, m, 2, "analytic")
+            assert abs(got - 2.0 / (n * (n - 1))) <= 1e-15
+
     def test_zero_game(self):
         g = make_tabular(4, np.zeros(16))
         assert lagrange_remainder_term(g, [0, 1], 2, "analytic") == 0.0
