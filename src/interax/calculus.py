@@ -9,9 +9,11 @@ respect to T at the empty set.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import fsum
+from math import fsum, lcm
 
 import numpy as np
 
@@ -154,26 +156,34 @@ class MobiusExpansion:
 
 
 def mobius_transform(game: Game) -> MobiusExpansion:
-    """Mobius coefficients of a game, by the in-place subset-sum transform.
-
-    O(n 2^n) over the dense table, so gated at n <= 24.  Exact zeros are
-    dropped from the sparse result.
+    """Mobius coefficients of a game: its known terms, else the in-place
+    subset-sum transform, O(n 2^n) over the dense table and so gated at
+    n <= 24.  Exact zeros are dropped from the sparse result.
     """
+    terms = game.derived.get("mobius_terms")
+    if terms is not None:
+        return MobiusExpansion(game.n, {m: c for m, c in terms if c != 0.0})
     dense = mobius_dense(game)
     coefs = {int(mask): float(dense[mask]) for mask in np.flatnonzero(dense)}
     return MobiusExpansion(game.n, coefs)
 
 
 def mobius_dense(game: Game) -> np.ndarray:
-    """Dense 2^n array of Mobius coefficients, cached on the game."""
+    """Dense 2^n array of Mobius coefficients (n <= 24), cached on the game."""
     cached = game.derived.get("mobius_dense")
     if cached is not None:
         return cached
     n = game.n
-    out = game.dense_table().copy()
-    for i in range(n):
-        view = out.reshape(-1, 2, 1 << i)
-        view[:, 1, :] -= view[:, 0, :]
+    terms = game.derived.get("mobius_terms")
+    if terms is None:
+        out = game.dense_table().copy()
+        for i in range(n):
+            view = out.reshape(-1, 2, 1 << i)
+            view[:, 1, :] -= view[:, 0, :]
+    elif n > DENSE_LIMIT:
+        raise ValueError(f"dense Mobius table needs n <= {DENSE_LIMIT}, got n={n}")
+    else:
+        out = MobiusExpansion(n, dict(terms)).dense()
     out.setflags(write=False)
     return game.derived.setdefault("mobius_dense", out)
 
@@ -227,15 +237,31 @@ def weighted_terms(coefs: np.ndarray, sizes: np.ndarray, weights) -> tuple:
 def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
     """Sum over T containing S of weight(|T|) * a(T), for every S of `size`.
 
-    `weight` maps a size to an exact rational such as a Fraction.  One
-    O(n 2^n) superset-sum butterfly over the cached Mobius coefficients,
-    the mirror of `mobius_dense`, with exact products and compensated
-    additions: each result is the sum of the float coefficients to about
-    the last unit, even where large coefficients cancel.  The order of
-    operations is fixed, so results are bit-reproducible.  Returns
-    {PlayerSet: sum} in ascending mask order.
+    `weight` maps a size to an exact rational such as a Fraction.  A game
+    with known Mobius terms adds each term's weighted coefficient to its
+    size-`size` subsets as integers over one common denominator, then
+    divides once (int / int rounds correctly): each result is the exact
+    sum, rounded.  Any other game takes one O(n 2^n) superset-sum
+    butterfly over the cached Mobius coefficients, the mirror of
+    `mobius_dense`, with exact products and compensated additions: each
+    result is the sum of the float coefficients to about the last unit,
+    even where large coefficients cancel.  The order of operations is
+    fixed, so results are bit-reproducible.  Returns {PlayerSet: sum} in
+    ascending mask order.
     """
     n = game.n
+    terms = game.derived.get("mobius_terms")
+    if terms is not None:
+        weighted = [(t_mask, Fraction(weight(t_mask.bit_count())) * Fraction(coef))
+                    for t_mask, coef in terms if t_mask.bit_count() >= size]
+        den = lcm(*(w.denominator for _, w in weighted))
+        exact = defaultdict(int)
+        for t_mask, w in weighted:
+            num = w.numerator * (den // w.denominator)
+            members = [1 << i for i in ids_from_mask(t_mask)]
+            for bits in itertools.combinations(members, size):
+                exact[sum(bits)] += num
+        return {PlayerSet(m, n): exact.get(m, 0) / den for m in masks_of_size(n, size)}
     weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
     high, low = weighted_terms(mobius_dense(game), popcounts(1 << n), weights)
     for i in range(n):
@@ -261,10 +287,16 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
 def superset_sum(game: Game, subset, weight) -> float:
     """`superset_sums` for one set S, with the same weight convention.
 
-    One O(2^(n - |S|)) gather of the cached Mobius coefficients, exact
+    Known Mobius terms are summed in exact rationals and rounded once, as
+    `superset_sums` does, so the two agree bit for bit.  Otherwise one
+    O(2^(n - |S|)) gather of the cached Mobius coefficients, exact
     products added by math.fsum: accurate to about the last unit.
     """
     s_mask = as_mask(subset, game.n)
+    known = game.derived.get("mobius_terms")
+    if known is not None:
+        return float(sum(Fraction(weight(t.bit_count())) * Fraction(c)
+                         for t, c in known if t & s_mask == s_mask))
     s = s_mask.bit_count()
     supersets = superset_view(game, s_mask)
     terms = weighted_terms(supersets, popcounts(supersets.size),

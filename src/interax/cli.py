@@ -229,7 +229,6 @@ def _cmd_verify_axioms(args) -> int:
     with _load_source(args) as game:
         seed, auto = _resolve_seed(args)
         checks = axioms.run_axiom_checks(game, args.k, seed)
-    residual = next(check.worst_error for check in checks if check.name == "efficiency")
     print(f"axiom checks for k={args.k}, seed={seed}"
           + (" (auto-chosen)" if auto else ""))
     ok = True
@@ -237,7 +236,6 @@ def _cmd_verify_axioms(args) -> int:
         status = "PASS" if check.passed else "FAIL"
         ok = ok and check.passed
         print(f"  {status}  {check.name}: {check.detail}")
-    print(f"  efficiency residual: {residual:.3e}")
     return 0 if ok else 1
 
 

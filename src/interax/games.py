@@ -221,14 +221,27 @@ def spread_bits(masks: np.ndarray, players: Sequence[int]) -> np.ndarray:
 # Built-in families
 # ---------------------------------------------------------------------------
 
+def _with_terms(game: Game, terms: Iterable[tuple[int, float]]) -> Game:
+    """Record the game's known Mobius expansion as (mask, coef) pairs, ascending.
+
+    The exact indices read it in place of a dense 2^n sweep.  A term that
+    is not finite is not recorded, so the dense route rejects the game.
+    """
+    terms = tuple(sorted(terms))
+    if all(math.isfinite(c) for _, c in terms):
+        game.derived["mobius_terms"] = terms
+    return game
+
+
 def make_unanimity(n: int, winners) -> Game:
     """Game worth 1 exactly when the subset covers all of `winners`."""
     t = as_mask(winners, n)
     if t == 0:
         raise ValueError("unanimity games need a nonempty winning set")
     t = np.uint64(t)
-    return Game(n, lambda m: (m & t == t).astype(np.float64), "unanimity",
+    game = Game(n, lambda m: (m & t == t).astype(np.float64), "unanimity",
                 {"set": ids_from_mask(int(t))})
+    return _with_terms(game, [(int(t), 1.0)])
 
 
 def make_interaction(n: int, winners, c: float) -> Game:
@@ -238,8 +251,9 @@ def make_interaction(n: int, winners, c: float) -> Game:
         raise ValueError("interaction games need a nonempty winning set")
     c = float(c)
     t = np.uint64(t)
-    return Game(n, lambda m: np.where(m & t == t, c, 0.0), "interaction",
+    game = Game(n, lambda m: np.where(m & t == t, c, 0.0), "interaction",
                 {"set": ids_from_mask(int(t)), "c": c})
+    return _with_terms(game, [(int(t), c)])
 
 
 def make_majority(n: int) -> Game:
@@ -256,8 +270,9 @@ def make_majority(n: int) -> Game:
 def make_linear_crosses(c: float) -> Game:
     """Three additive players plus a single triple cross with coefficient c."""
     c = float(c)
-    return Game(3, lambda m: np.bitwise_count(m) + np.where(m == 7, c, 0.0),
+    game = Game(3, lambda m: np.bitwise_count(m) + np.where(m == 7, c, 0.0),
                 "linear-crosses", {"c": c})
+    return _with_terms(game, [(1, 1.0), (2, 1.0), (4, 1.0), (7, c)])
 
 
 def make_product(n: int) -> Game:
@@ -265,7 +280,8 @@ def make_product(n: int) -> Game:
     if n < 1:
         raise ValueError("product game needs n >= 1")
     full = np.uint64((1 << n) - 1)
-    return Game(n, lambda m: (m == full).astype(np.float64), "product")
+    game = Game(n, lambda m: (m == full).astype(np.float64), "product")
+    return _with_terms(game, [(int(full), 1.0)])
 
 
 def make_tabular(n: int, values: Sequence[float]) -> Game:
@@ -307,7 +323,7 @@ def make_mobius_game(n: int, terms: Mapping) -> Game:
             np.add(out, c, out=out, where=masks & t == t)
         return out
 
-    return Game(n, values, "mobius", {"terms": ordered})
+    return _with_terms(Game(n, values, "mobius", {"terms": ordered}), ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,22 @@ a(T) / (|T| - |S| + 1) over supersets T.  It does not satisfy efficiency;
 pairwise interaction from the Shapley value), which restores efficiency by
 construction.
 
-Every index size is one O(n 2^n) pass of `superset_sums` over the
-cached Mobius coefficients, so exact runs reach n = 24, and `sii_exact`
-is one set's `superset_sum`.  The pass carries exact products and
-compensated sums, so large coefficients that cancel (the majority game's
-reach 1e6) do not cost accuracy; the order of operations is fixed, so
-results are bit-reproducible.  The README's notes on numerics give
-measured errors and times.
+Every index size is one `superset_sums` call and `sii_exact` one set's
+`superset_sum`.  A game that records its Mobius terms (unanimity,
+interaction, product, linear-crosses and Mobius games) is summed from
+those terms alone, exactly and rounded once, at any n; any other game
+takes one O(n 2^n) pass over the cached Mobius coefficients, so exact
+runs reach n = 24.  The pass carries
+exact products and compensated sums, so large coefficients that cancel
+(the majority game's reach 1e6) do not cost accuracy; the order of
+operations is fixed, so results are bit-reproducible.  The README's notes
+on numerics give measured errors and times.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, fsum
@@ -87,15 +91,21 @@ class IndexResult:
         }
 
 
-def _require_dense(game: Game, what: str):
-    if game.n > DENSE_LIMIT:
+def _require_dense(game: Game, what: str, k: int = 1):
+    """Dense sweeps need n <= 24; known Mobius terms need no sweep, only a
+    result of at most 2^24 sets."""
+    if game.n > DENSE_LIMIT and "mobius_terms" not in game.derived:
         raise ValueError(f"{what} needs n <= {DENSE_LIMIT}, got n={game.n}")
+    if sum(comb(game.n, j) for j in range(1, k + 1)) > 1 << DENSE_LIMIT:
+        raise ValueError(f"{what} would score more than 2^{DENSE_LIMIT} sets "
+                         f"at n={game.n}, k={k}")
 
 
 def _mobius_values(game: Game, sizes) -> dict[PlayerSet, float]:
     """a(S) for every subset with a size in `sizes`: the derivative at empty."""
     n = game.n
-    coefs = mobius_dense(game)
+    terms = game.derived.get("mobius_terms")
+    coefs = mobius_dense(game) if terms is None else defaultdict(float, terms)
     return {PlayerSet(m, n): float(coefs[m]) for j in sizes for m in masks_of_size(n, j)}
 
 
@@ -109,7 +119,7 @@ def stv_exact(game: Game, k: int) -> IndexResult:
     """
     if not 1 <= k <= game.n:
         raise ValueError(f"order k must be in 1..{game.n}, got {k}")
-    _require_dense(game, "exact index computation")
+    _require_dense(game, "exact index computation", k)
     values = _mobius_values(game, range(1, k))
     values.update(superset_sums(game, k, lambda t: Fraction(1, comb(t, k))))
     return IndexResult("stv", k, values, {"mode": "exact"})
@@ -163,7 +173,7 @@ def sii_index(game: Game, k: int) -> IndexResult:
     """Shapley interaction indices for every subset of size 1..k."""
     if not 1 <= k <= game.n:
         raise ValueError(f"order k must be in 1..{game.n}, got {k}")
-    _require_dense(game, "exact index computation")
+    _require_dense(game, "exact index computation", k)
     values: dict[PlayerSet, float] = {}
     for s in range(1, k + 1):
         values.update(superset_sums(game, s, lambda t, s=s: Fraction(1, t - s + 1)))

@@ -16,6 +16,16 @@ def random_tabular(rng, n, scale=1.0):
     return make_tabular(n, scale * rng.normal(size=1 << n))
 
 
+def random_mobius_terms(rng, n, count=40, max_size=6):
+    """`count` distinct Mobius terms, each on 1..max_size random players
+    with a standard normal coefficient, as {mask: coef}."""
+    terms = {}
+    while len(terms) < count:
+        members = rng.choice(n, int(rng.integers(1, max_size + 1)), replace=False)
+        terms[sum(1 << int(p) for p in members)] = float(rng.normal())
+    return terms
+
+
 def derivative_recursive(game, s_mask, t_mask):
     """Discrete derivative by the recursive marginal definition.
 

@@ -4,6 +4,10 @@ Every criterion prints ``ACCEPTANCE <i>: PASS|FAIL`` (run pytest with -s to
 see the lines as they happen; they also appear in captured output).  The
 checks pin exact expected values at fixed tolerances and, where stated,
 wall-clock budgets.
+
+Criteria 2 and 7 run a second time on tabular copies of their games: the
+built-in games record their Mobius terms and are summed from them, the
+copies take the dense Mobius kernel.
 """
 
 import time
@@ -16,7 +20,7 @@ from interax import (PlayerSet, SamplingPlan, attach_external,
                      discrete_derivative, efficiency_residual,
                      lagrange_remainder_term, majority_sweep, make_interaction,
                      make_linear_crosses, make_majority, make_product,
-                     make_unanimity, mixed_partial_diagonal, relabel,
+                     make_tabular, make_unanimity, mixed_partial_diagonal, relabel,
                      required_samples, shapley, sii_exact, sii_main_effects,
                      stv_exact, stv_permutation_oracle, stv_sampled,
                      taylor_identity_check)
@@ -74,11 +78,21 @@ def test_criterion_01_linear_cross_table():
 
 def test_criterion_02_product_game():
     """Pair values and totals on the all-players cross, n = 3..10."""
+    _criterion_02(make_product, "product-game scaling")
+
+
+def test_criterion_02_dense_copy():
+    """Criterion 2 on tabular copies of the games, which take the dense kernel."""
+    _criterion_02(lambda n: make_tabular(n, make_product(n).dense_table()),
+                  "product-game scaling, dense copies")
+
+
+def _criterion_02(make_game, label):
     start = time.perf_counter()
     failures = []
     tol = 1e-10
     for n in range(3, 11):
-        game = make_product(n)
+        game = make_game(n)
         taylor = stv_exact(game, 2)
         pair_vals = [v for s, v in taylor.values.items() if s.size == 2]
         want = 1.0 / comb(n, 2)
@@ -93,7 +107,7 @@ def test_criterion_02_product_game():
         sii_total = sii_pair * comb(n, 2)
         if abs(sii_total - n / 2) > tol:
             failures.append(f"n={n}: interaction total {sii_total}, want {n/2}")
-    _verdict(2, failures, time.perf_counter() - start, "product-game scaling")
+    _verdict(2, failures, time.perf_counter() - start, label)
 
 
 def test_criterion_03_majority():
@@ -287,12 +301,24 @@ def test_criterion_06_taylor_bridging():
 
 def test_criterion_07_unanimity_closed_form():
     """Every k-subset inside the winning set gets exactly 1/C(t, k)."""
+    _criterion_07(make_unanimity, "unanimity closed form")
+
+
+def test_criterion_07_dense_copy():
+    """Criterion 7 on tabular copies of the games, which take the dense kernel."""
+    def dense_copy(n, winners):
+        return make_tabular(n, make_unanimity(n, winners).dense_table())
+
+    _criterion_07(dense_copy, "unanimity closed form, dense copies")
+
+
+def _criterion_07(make_game, label):
     start = time.perf_counter()
     failures = []
     for t in range(1, 11):
         n = min(t + 2, 12)
         winners_mask = (1 << t) - 1
-        game = make_unanimity(n, range(t))
+        game = make_game(n, range(t))
         for k in range(1, min(t, 4) + 1):
             result = stv_exact(game, k)
             want_inside = 1.0 / comb(t, k)
@@ -301,8 +327,7 @@ def test_criterion_07_unanimity_closed_form():
                 want = want_inside if (pset.size == k and inside) else 0.0
                 if abs(val - want) > 1e-12:
                     failures.append(f"t={t} k={k} {pset}: {val!r}, want {want!r}")
-    _verdict(7, failures, time.perf_counter() - start,
-             "unanimity closed form")
+    _verdict(7, failures, time.perf_counter() - start, label)
 
 
 def test_criterion_08_sampling_coverage():

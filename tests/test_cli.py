@@ -174,7 +174,7 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 5
-        assert "efficiency residual" in out
+        assert "efficiency: residual" in out
 
     def test_taylor_quadrature(self, capsys):
         rc = run(["verify", "taylor", "--builtin", "linear-crosses:c=4",
@@ -238,6 +238,17 @@ class TestExitCodes:
         rc = run(["index", "--builtin", "majority:n=30", "--mode", "exact"])
         assert rc == 1
         assert "n <= 24" in capsys.readouterr().err
+
+    def test_games_with_terms_pass_the_size_guard(self, capsys):
+        rc = run(["index", "--builtin", "unanimity:n=40,set=0-2", "--mode", "exact",
+                  "--k", "2", "--format", "csv"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        pairs = {row[0]: float(row[4]) for row in rows if row[1] == "2"}
+        assert len(pairs) == 40 * 39 // 2
+        for ids, value in pairs.items():
+            inside = all(int(i) <= 2 for i in ids.split())
+            assert value == (1 / 3 if inside else 0.0)
 
     def test_oracle_guard(self, capsys):
         rc = run(["index", "--builtin", "majority:n=12", "--mode", "oracle"])

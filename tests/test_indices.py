@@ -4,9 +4,9 @@ from math import comb, fsum
 import numpy as np
 import pytest
 
-from helpers import (all_masks_of_size, mobius_sums_fractions, random_tabular,
-                     shapley_by_orderings, sii_by_sweep, sii_exact_fractions,
-                     sii_main_effects_by_sweeps, stv_by_sweeps)
+from helpers import (all_masks_of_size, mobius_sums_fractions, random_mobius_terms,
+                     random_tabular, shapley_by_orderings, sii_by_sweep,
+                     sii_exact_fractions, sii_main_effects_by_sweeps, stv_by_sweeps)
 from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      lagrange_remainder_term, make_interaction, make_linear_crosses,
                      make_majority, make_mobius_game, make_product, make_tabular,
@@ -15,7 +15,13 @@ from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
 from interax import axioms
 from interax.analysis import majority_sii_by_size
 from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
+from interax.calculus import superset_sum, superset_sums
 from interax.games import from_function, relabel
+
+
+def taylor_weight(k):
+    """The order-k Taylor weight 1/C(|T|, k) of the superset sums."""
+    return lambda t: Fraction(1, comb(t, k))
 
 
 class TestShapley:
@@ -286,13 +292,18 @@ class TestKernelAgainstOracles:
             assert abs(efficiency_residual(result, g)) <= 1e-9 * max(1.0, abs(g.span()))
 
     def test_sparse_game_at_twenty_players(self):
-        n = 20
-        rng = np.random.default_rng(34)
-        terms = {}
-        while len(terms) < 40:
-            members = rng.choice(n, int(rng.integers(1, 7)), replace=False)
-            terms[sum(1 << int(p) for p in members)] = float(rng.normal())
-        g = make_mobius_game(n, terms)
+        terms = random_mobius_terms(np.random.default_rng(34), 20)
+        self.check_against_fraction_sums(make_mobius_game(20, terms), terms)
+
+    def test_dense_copy_of_the_sparse_game_at_twenty_players(self):
+        # the same game without its recorded terms takes the dense kernel
+        terms = random_mobius_terms(np.random.default_rng(34), 20)
+        g = make_tabular(20, make_mobius_game(20, terms).dense_table())
+        self.check_against_fraction_sums(g, terms)
+
+    @staticmethod
+    def check_against_fraction_sums(g, terms):
+        n = g.n
         stv = stv_exact(g, 2)
         sii = sii_index(g, 2)
         assert set(stv.values) == set(sii.values)
@@ -331,6 +342,47 @@ class TestKernelAgainstOracles:
         for pset, v in sii_index(g, 2).values.items():
             assert abs(v - float(by_size[pset.size])) <= 1e-12
         assert abs(sii_exact(g, 0b11) - float(by_size[2])) <= 1e-12
+
+
+class TestSparseRoute:
+    """Games that record their Mobius terms are summed from the terms alone,
+    exactly and rounded once, past the dense route's n <= 24 gate."""
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_indices_match_fraction_sums(self, n):
+        terms = random_mobius_terms(np.random.default_rng(n), n)
+        g = make_mobius_game(n, terms)
+        stv, sii = stv_exact(g, 2), sii_index(g, 2)
+        sets = {PlayerSet(m, n) for s in (1, 2) for m in all_masks_of_size(n, s)}
+        assert set(stv.values) == sets and set(sii.values) == sets
+        for pset in sets:
+            s = pset.size
+            want_stv = (terms.get(pset.bits, 0.0) if s == 1 else
+                        mobius_sums_fractions(terms, pset.bits, taylor_weight(2)))
+            want_sii = mobius_sums_fractions(terms, pset.bits,
+                                             lambda t, s=s: Fraction(1, t - s + 1))
+            assert stv.values[pset] == want_stv
+            assert sii.values[pset] == want_sii
+            assert sii_exact(g, pset) == want_sii
+        assert abs(efficiency_residual(stv, g)) <= EFFICIENCY_TOL * max(1.0, abs(g.span()))
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_single_set_sum_equals_the_whole_size_pass(self, n):
+        g = make_mobius_game(n, random_mobius_terms(np.random.default_rng(n + 1), n))
+        for size in (1, 2, 3):
+            for pset, v in superset_sums(g, size, taylor_weight(size)).items():
+                assert superset_sum(g, pset, taylor_weight(size)) == v
+
+    def test_games_with_terms_skip_the_dense_table(self):
+        for g in (make_unanimity(40, [0, 5, 39]), make_interaction(64, [1, 2], 2.5),
+                  make_product(12), make_linear_crosses(2.0)):
+            stv_exact(g, 2)
+            sii_main_effects(g)
+            assert "dense_table" not in g.derived and "mobius_dense" not in g.derived
+        with pytest.raises(ValueError, match="n <= 24"):
+            stv_exact(make_majority(30), 1)
+        with pytest.raises(ValueError, match="2\\^24 sets"):
+            stv_exact(make_unanimity(64, [0, 1]), 9)
 
 
 class TestEfficiencyResidual:
@@ -446,6 +498,12 @@ class TestAxiomProperties:
         assert sum(game is g for game in calls) == 1
         # the combined, extended, relabeled and crossed companions get their own
         assert len(calls) > 1
+
+    def test_interaction_distribution_past_the_dense_gate(self):
+        # interaction games carry their one Mobius term, so the check makes
+        # no dense sweep and runs where the dense route is gated
+        check = axioms.check_interaction_distribution(40, 2)
+        assert check.passed, check.detail
 
     def test_interaction_distribution_exact_zero(self):
         for n, order, k in [(5, 3, 2), (6, 4, 3), (4, 4, 2)]:

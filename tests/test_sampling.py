@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_masks_of_size, random_tabular
+from helpers import all_masks_of_size, random_mobius_terms, random_tabular
 from interax import (PlayerSet, SamplingPlan, discrete_derivative,
                      make_linear_crosses, make_majority, make_mobius_game,
                      make_tabular, make_unanimity, required_samples,
@@ -153,6 +153,26 @@ class TestStvSampled:
             12, seed=8, targets=(PlayerSet.from_ids([0, 63], 64),))
         result = stv_sampled(g, 2, plan)
         assert result.get([0, 63], 64) == 1.0
+
+    def test_sparse_game_at_sixty_four_players_within_the_bound(self):
+        # exact ground truth from the game's recorded Mobius terms; each
+        # target's derivatives are bounded by the mass of its superset terms
+        n = 64
+        terms = random_mobius_terms(np.random.default_rng(64), n, max_size=4)
+        g = make_mobius_game(n, terms)
+        exact = stv_exact(g, 2)
+        targets = tuple(sorted({PlayerSet(m, n) for t in terms
+                                for m in all_masks_of_size(n, 2) if m & t == m},
+                               key=lambda s: s.bits))
+        bound = max(fsum(abs(c) for t, c in terms.items() if s.bits & t == s.bits)
+                    for s in targets)
+        epsilon, delta = 0.25, 1e-3 / len(targets)
+        plan = SamplingPlan.from_error_budget(epsilon, delta, seed=64, range_bound=bound,
+                                              targets=targets)
+        result = stv_sampled(g, 2, plan)
+        assert result.meta["samples"] == required_samples(epsilon, delta, bound)
+        for s in targets:
+            assert abs(result.values[s] - exact.values[s]) <= epsilon
 
     def test_unbiased_across_seeds(self):
         # grand mean of 1000 single-draw estimates vs the exact value
