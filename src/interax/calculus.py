@@ -98,11 +98,15 @@ def ordering_prefixes(perms: np.ndarray, s_masks) -> np.ndarray:
     bits = np.uint64(1) << perms.astype(np.uint64)
     before = np.empty_like(bits)  # before[i, p]: the players ahead of p
     np.put_along_axis(before, perms, np.cumsum(bits, axis=1) - bits, axis=1)
-    members = np.array([ids_from_mask(s) for s in s_masks])
     # prefixes are nested, so the earliest member's is the smallest mask
-    prefixes = before[:, members[:, 0]]
-    for column in members.T[1:]:
-        np.minimum(prefixes, before[:, column], out=prefixes)
+    rest = np.asarray(s_masks, dtype=np.uint64)
+    prefixes = None
+    for _ in range(int(rest[0]).bit_count()):
+        low = rest & (~rest + np.uint64(1))  # the smallest member left
+        rest = rest ^ low
+        column = before[:, np.bitwise_count(low - np.uint64(1))]
+        prefixes = column if prefixes is None else np.minimum(prefixes, column,
+                                                              out=prefixes)
     return prefixes
 
 

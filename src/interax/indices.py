@@ -96,9 +96,19 @@ def _require_dense(game: Game, what: str, k: int = 1):
     result of at most 2^24 sets."""
     if game.n > DENSE_LIMIT and "mobius_terms" not in game.derived:
         raise ValueError(f"{what} needs n <= {DENSE_LIMIT}, got n={game.n}")
-    if sum(comb(game.n, j) for j in range(1, k + 1)) > 1 << DENSE_LIMIT:
+    require_result_size(what, game.n, k)
+
+
+def require_result_size(what: str, n: int, k: int, targets: int | None = None,
+                        scope: int | None = None):
+    """Refuse an order-k result of more than 2^24 sets: the size-k targets
+    (all C(n, k) unless counted) plus every smaller nonempty set over the
+    `scope` players in play (all n unless given)."""
+    scope = n if scope is None else scope
+    count = comb(n, k) if targets is None else targets
+    if count + sum(comb(scope, j) for j in range(1, k)) > 1 << DENSE_LIMIT:
         raise ValueError(f"{what} would score more than 2^{DENSE_LIMIT} sets "
-                         f"at n={game.n}, k={k}")
+                         f"at n={n}, k={k}")
 
 
 def _mobius_values(game: Game, sizes) -> dict[PlayerSet, float]:

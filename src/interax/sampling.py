@@ -10,7 +10,11 @@ the route for external evaluators.
 Permutations come from a counter-based generator (Philox, 64-bit keys):
 the permutation for sample i is keyed by (seed, stream, i), and per-target
 sums go through numpy's pairwise reduction, so a result is reproducible
-bit for bit from its seed.  The draws of a block of orderings reach the
+bit for bit from its seed.  A block of orderings shares one generator,
+reseated before draw i at counter [0, i, 0, 0] with nothing buffered, so
+each ordering is the one a fresh generator at that counter would give;
+an ordering of 64 players costs about 5 us this way, against about 18 us
+for a fresh generator per draw (2-vCPU Xeon, numpy 2.4).  The draws of a block of orderings reach the
 game as one batch of subsets.  The sample-size rule
 m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual Hoeffding guarantee
 for derivatives bounded by r in magnitude.
@@ -26,8 +30,8 @@ from operator import or_
 import numpy as np
 
 from .calculus import derivative, masks_of_size, ordering_prefixes
-from .games import Game, PlayerSet, as_mask, ids_from_mask, spread_bits
-from .indices import IndexResult
+from .games import DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask, spread_bits
+from .indices import IndexResult, require_result_size
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 1 << 18  # game evaluations per block of draws
@@ -99,10 +103,29 @@ class SamplingPlan:
 def sample_permutation(seed: int, index: int, n: int,
                        stream: int = _MAIN_STREAM) -> np.ndarray:
     """The index-th permutation of range(n) in the given seeded stream."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    counter = np.array([0, index & _MASK64, 0, 0], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
-    return gen.permutation(n)
+    return _orderings(seed, index, index + 1, n, stream)[0]
+
+
+def _orderings(seed: int, start: int, stop: int, n: int, stream: int) -> np.ndarray:
+    """Row i - start: the i-th permutation of range(n) in the stream, for
+    start <= i < stop.
+
+    The block shares one Philox generator keyed by (seed, stream).  Before
+    each draw the whole state is assigned back with the counter at
+    [0, i, 0, 0] and nothing buffered, so row i is the shuffle a fresh
+    Philox(counter=[0, i, 0, 0], key=[seed, stream]) would make.
+    """
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, stream & _MASK64],
+                                           dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # buffer_pos 4, has_uint32 0: no buffered output
+    counter = state["state"]["counter"]
+    perms = np.tile(np.arange(n), (stop - start, 1))
+    for i, row in enumerate(perms, start):
+        counter[1] = i & _MASK64
+        bitgen.state = state
+        gen.shuffle(row)
+    return perms
 
 
 def _draw_matrix(game: Game, target_masks, m: int, seed: int,
@@ -112,10 +135,9 @@ def _draw_matrix(game: Game, target_masks, m: int, seed: int,
     matrix = np.empty((len(target_masks), m), dtype=np.float64)
     step = max(1, _DRAW_BLOCK // (len(target_masks) << target_masks[0].bit_count()))
     for start in range(0, m, step):
-        perms = np.array([sample_permutation(seed, i, game.n, stream)
-                          for i in range(start, min(start + step, m))])
-        prefixes = ordering_prefixes(perms, target_masks)
-        matrix[:, start:start + len(perms)] = derivative(game, targets[:, None], prefixes.T)
+        stop = min(start + step, m)
+        prefixes = ordering_prefixes(_orderings(seed, start, stop, game.n, stream), targets)
+        matrix[:, start:stop] = derivative(game, targets[:, None], prefixes.T)
     return matrix
 
 
@@ -124,13 +146,17 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
 
     Sets below size k do not depend on the ordering: each gets its
     derivative at the empty set.  With targets given, only the players
-    they mention are in scope.
+    they mention are in scope.  Before any work, refuses an order past the
+    derivative guard and a result of more than 2^24 sets.
     """
     n = game.n
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
+    if k > DENSE_LIMIT:
+        raise ValueError(f"derivative order {k} exceeds the {DENSE_LIMIT} guard")
     if targets is None:
-        target_masks = list(masks_of_size(n, k))
+        require_result_size("sampling", n, k)
+        target_masks, scope = list(masks_of_size(n, k)), range(n)
     else:
         target_masks = [as_mask(t, n) for t in targets]
         if not target_masks:
@@ -140,7 +166,8 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
                 raise ValueError(
                     f"target {ids_from_mask(mask)} has size {mask.bit_count()}, "
                     f"but the order is k={k}")
-    scope = range(n) if targets is None else ids_from_mask(reduce(or_, target_masks))
+        scope = ids_from_mask(reduce(or_, target_masks))
+        require_result_size("sampling", n, k, len(target_masks), len(scope))
     values: dict[PlayerSet, float] = {}
     for j in range(1, k):
         s_masks = spread_bits(np.fromiter(masks_of_size(len(scope), j), np.uint64), scope)

@@ -26,6 +26,28 @@ def random_mobius_terms(rng, n, count=40, max_size=6):
     return terms
 
 
+def fresh_permutation(seed, index, n, stream=0):
+    """The index-th ordering of range(n) in the stream (seed, stream), from a
+    fresh Philox generator with key [seed, stream] and counter [0, index, 0, 0].
+
+    Reference for the sampler, which shares one generator across a block.
+    """
+    mask64 = (1 << 64) - 1
+    key = np.array([seed & mask64, stream & mask64], dtype=np.uint64)
+    counter = np.array([0, index & mask64, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return gen.permutation(n)
+
+
+def prefix_before(perm, s_mask):
+    """The players of the ordering that precede every member of s_mask."""
+    prefix = 0
+    for player in perm.tolist():
+        if s_mask >> player & 1:
+            return prefix
+        prefix |= 1 << player
+
+
 def derivative_recursive(game, s_mask, t_mask):
     """Discrete derivative by the recursive marginal definition.
 

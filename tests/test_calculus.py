@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import derivative_recursive, random_tabular
+from helpers import all_masks_of_size, derivative_recursive, prefix_before, random_tabular
 from interax import (combine, discrete_derivative, make_interaction,
                      make_linear_crosses, make_mobius_game, make_tabular,
                      make_unanimity, mobius_derivative_relation, mobius_transform)
-from interax.calculus import iter_submasks, masks_of_size, mobius_dense
+from interax.calculus import iter_submasks, masks_of_size, mobius_dense, ordering_prefixes
 
 
 class TestDiscreteDerivative:
@@ -167,3 +169,22 @@ class TestIterationHelpers:
         assert list(masks_of_size(4, 0)) == [0]
         assert list(masks_of_size(3, 3)) == [0b111]
         assert list(masks_of_size(2, 3)) == []
+
+
+class TestOrderingPrefixes:
+    def test_sixty_four_players_with_the_top_bit(self):
+        rng = np.random.default_rng(63)
+        perms = np.array([rng.permutation(64) for _ in range(40)])
+        for k in (1, 2, 3, 4):
+            targets = [sum(1 << int(p) for p in rng.choice(64, k, replace=False))
+                       for _ in range(30)]
+            targets += [1 << 63 | ((1 << k - 1) - 1), (1 << 64) - (1 << 64 - k)]
+            want = [[prefix_before(perm, s) for s in targets] for perm in perms]
+            assert ordering_prefixes(perms, targets).tolist() == want
+
+    def test_every_ordering_of_six_players(self):
+        perms = np.array(list(itertools.permutations(range(6))))
+        for k in range(1, 7):
+            targets = all_masks_of_size(6, k)
+            want = [[prefix_before(perm, s) for s in targets] for perm in perms]
+            assert ordering_prefixes(perms, targets).tolist() == want

@@ -239,6 +239,17 @@ class TestExitCodes:
         assert rc == 1
         assert "n <= 24" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["sample", "--samples", "1"],
+                                      ["mom", "--groups", "1", "--per-group", "1"]])
+    def test_sampler_size_guard_fails_fast(self, mode):
+        env = dict(os.environ, PYTHONPATH=str(Path(interax.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "interax.cli", "index", "--builtin", "majority:n=64",
+             "--k", "40", "--mode", *mode, "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+
     def test_games_with_terms_pass_the_size_guard(self, capsys):
         rc = run(["index", "--builtin", "unanimity:n=40,set=0-2", "--mode", "exact",
                   "--k", "2", "--format", "csv"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_masks_of_size, random_mobius_terms, random_tabular
+from helpers import (all_masks_of_size, fresh_permutation, prefix_before,
+                     random_mobius_terms, random_tabular)
 from interax import (PlayerSet, SamplingPlan, discrete_derivative,
                      make_linear_crosses, make_majority, make_mobius_game,
                      make_tabular, make_unanimity, required_samples,
@@ -18,15 +19,6 @@ DRAW_CASES = st.integers(2, 7).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, min(n, 3)), st.integers(0, 2 ** 64 - 1),
     st.integers(1, 16)))
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-
-def prefix_before(perm, s_mask):
-    """The players of the ordering that precede every member of s_mask."""
-    prefix = 0
-    for player in perm.tolist():
-        if s_mask >> player & 1:
-            return prefix
-        prefix |= 1 << player
 
 
 class TestRequiredSamples:
@@ -209,6 +201,24 @@ class TestStvSampled:
         assert failures / runs <= delta + 0.02
 
 
+class TestSizeGuard:
+    def test_order_past_the_derivative_guard(self):
+        g = make_majority(64)
+        with pytest.raises(ValueError, match="derivative order 40 exceeds"):
+            stv_sampled(g, 40, SamplingPlan.from_samples(1, 1))
+        with pytest.raises(ValueError, match="derivative order 40 exceeds"):
+            stv_sampled_mom(g, 40, 1, 1, seed=1)
+
+    def test_result_past_two_to_the_twenty_four_sets(self):
+        g = make_majority(64)
+        with pytest.raises(ValueError, match=r"more than 2\^24 sets at n=64, k=6"):
+            stv_sampled(g, 6, SamplingPlan.from_samples(1, 1))
+        # two size-24 targets over 25 players: every smaller set over the 25
+        targets = (PlayerSet((1 << 24) - 1, 64), PlayerSet((1 << 25) - 2, 64))
+        with pytest.raises(ValueError, match=r"more than 2\^24 sets at n=64, k=24"):
+            stv_sampled_mom(g, 24, 1, 1, seed=1, targets=targets)
+
+
 class TestDrawBlocks:
     @pytest.mark.parametrize("make_game,k,m", [
         (lambda: make_majority(64), 2, 5),
@@ -279,6 +289,31 @@ class TestPermutationStream:
             firsts[sample_permutation(1234, i, n)[0]] += 1
         assert np.all(firsts > draws / n * 0.7)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_block_rows_match_fresh_generators(self, n):
+        # index 2^64 wraps to counter 0; neighbouring rows share a generator
+        indices = [0, 1, 2 ** 64 - 1, 2 ** 64]
+        for seed in (0, 1, 2 ** 63, 2 ** 64 - 1, -1):
+            for stream in (0, 1):
+                rows = np.concatenate([sampling._orderings(seed, 0, 2, n, stream),
+                                       sampling._orderings(seed, 2 ** 64 - 1, 2 ** 64 + 1,
+                                                           n, stream)])
+                for i, row in zip(indices, rows):
+                    want = fresh_permutation(seed, i, n, stream)
+                    assert np.array_equal(row, want)
+                    assert np.array_equal(sample_permutation(seed, i, n, stream), want)
+
+    def test_published_stream_is_pinned(self):
+        # published values of the (seed, stream, i) stream; a change to the
+        # generator must not move them
+        assert sample_permutation(7, 3, 10).tolist() == [4, 6, 1, 5, 7, 2, 8, 3, 0, 9]
+        result = stv_sampled(make_majority(6), 2, SamplingPlan.from_samples(5, seed=7))
+        assert [(s.bits, v) for s, v in result.values.items()] == [
+            (1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0), (16, 0.0), (32, 0.0),
+            (3, -0.4), (5, 0.2), (6, -0.2), (9, 0.0), (10, -0.2), (12, -0.4),
+            (17, -0.2), (18, -0.4), (20, 0.2), (24, 0.0), (33, 0.4), (34, 0.4),
+            (36, 0.2), (40, 0.6), (48, 0.8)]
+
     def test_all_sizes_present_in_default_targets(self):
         g = make_majority(5)
         plan = SamplingPlan.from_samples(4, seed=2)
@@ -294,7 +329,7 @@ class TestDrawProperties:
         n, k, seed, m = case
         g = random_tabular(np.random.default_rng(seed), n)
         result = stv_sampled(g, k, SamplingPlan.from_samples(m, seed=seed))
-        perms = [sample_permutation(seed, i, n) for i in range(m)]
+        perms = [fresh_permutation(seed, i, n) for i in range(m)]
         for s_mask in all_masks_of_size(n, k):
             want = fsum(discrete_derivative(g, s_mask, prefix_before(perm, s_mask))
                         for perm in perms) / m
@@ -306,7 +341,7 @@ class TestDrawProperties:
         n, k, seed, _ = case
         g = random_tabular(np.random.default_rng(seed), n)
         draws = [discrete_derivative(g, s_mask, prefix_before(perm, s_mask))
-                 for perm in (sample_permutation(seed, i, n, stream=1) for i in range(64))
+                 for perm in (fresh_permutation(seed, i, n, stream=1) for i in range(64))
                  for s_mask in all_masks_of_size(n, k)]
         spread = max(draws) - min(draws)
         plan = SamplingPlan.from_error_budget(1e3, 0.5, seed=seed)
