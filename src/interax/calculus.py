@@ -238,6 +238,31 @@ def weighted_terms(coefs: np.ndarray, sizes: np.ndarray, weights) -> tuple:
     return product, error
 
 
+def _pruned_levels(high, low, rows, first, stop, size):
+    """Butterfly levels first..stop-1 of `superset_sums` on a block of rows.
+
+    Row r holds the entries whose bits below `first` form the pattern
+    rows[r]; column c sets the bits from `first` on to c.  Each level adds
+    the odd columns into the even ones by two-sum, keeps every even half
+    and the odd half of the rows that can still gain a member: no later
+    level changes an entry's low bits, so an entry whose low bits hold
+    more than `size` members never reaches a size-`size` set.
+    """
+    for i in range(first, stop):
+        x, y = high[:, 0::2], high[:, 1::2]
+        lx, ly = low[:, 0::2], low[:, 1::2]
+        s = x + y  # Knuth's two-sum: the rounding error goes to low
+        z = s - x
+        err = x - (s - z)
+        err += y - z
+        carry = lx + ly
+        carry += err
+        odd = np.bitwise_count(rows) < size
+        high, low = np.concatenate([s, y[odd]]), np.concatenate([carry, ly[odd]])
+        rows = np.concatenate([rows, rows[odd] | 1 << i])
+    return high, low, rows
+
+
 def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
     """Sum over T containing S of weight(|T|) * a(T), for every S of `size`.
 
@@ -245,12 +270,16 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
     with known Mobius terms adds each term's weighted coefficient to its
     size-`size` subsets as integers over one common denominator, then
     divides once (int / int rounds correctly): each result is the exact
-    sum, rounded.  Any other game takes one O(n 2^n) superset-sum
-    butterfly over the cached Mobius coefficients, the mirror of
-    `mobius_dense`, with exact products and compensated additions: each
-    result is the sum of the float coefficients to about the last unit,
-    even where large coefficients cancel.  The order of operations is
-    fixed, so results are bit-reproducible.  Returns {PlayerSet: sum} in
+    sum, rounded.  Any other game takes a superset-sum butterfly over the
+    cached Mobius coefficients, the mirror of `mobius_dense`, with exact
+    products and compensated additions: each result is the sum of the
+    float coefficients to about the last unit, even where large
+    coefficients cancel.  The butterfly carries only the entries that can
+    still reach a size-`size` set: about (size + 1) 2^n two-sums, against
+    n 2^(n - 1) for every level over every entry.  Its levels below bit 15
+    run on one chunk of 2^15 coefficients at a time, the later ones on
+    the few entries each chunk leaves.  The order of operations is fixed,
+    so results are bit-reproducible.  Returns {PlayerSet: sum} in
     ascending mask order.
     """
     n = game.n
@@ -267,25 +296,29 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
                 exact[sum(bits)] += num
         return {PlayerSet(m, n): exact.get(m, 0) / den for m in masks_of_size(n, size)}
     weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
-    high, low = weighted_terms(mobius_dense(game), popcounts(1 << n), weights)
-    for i in range(n):
-        half = 1 << i
-        rows, cols = max(1, _BLOCK // half), min(half, _BLOCK)
-        hv, lv = high.reshape(-1, 2, half), low.reshape(-1, 2, half)
-        for r in range(0, hv.shape[0], rows):
-            for c in range(0, half, cols):
-                x, y = hv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
-                lx, ly = lv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
-                s = x + y  # Knuth's two-sum: the rounding error goes to low
-                z = s - x
-                err = x - (s - z)
-                err += y - z
-                x[...] = s
-                lx += ly
-                lx += err
-    masks = list(masks_of_size(n, size))
-    sums = (high[masks] + low[masks]).tolist()
-    return {PlayerSet(m, n): v for m, v in zip(masks, sums)}
+    coefs = mobius_dense(game)
+    width = min(coefs.size, _BLOCK)
+    bits, sizes = width.bit_length() - 1, popcounts(width)
+    highs, lows = [], []
+    for start in range(0, coefs.size, width):  # levels below `bits` stay in a chunk
+        ones = (start >> bits).bit_count()  # members among the chunk's fixed bits
+        high, low = weighted_terms(coefs[start:start + width], sizes,
+                                   weights[ones:ones + bits + 1])
+        high, low, rows = _pruned_levels(high[None], low[None], np.zeros(1, np.int64),
+                                         0, bits, size)
+        highs.append(high)
+        lows.append(low)
+    # one column per chunk, whose index sets the bits from `bits` on; the
+    # remaining levels run on blocks of rows to keep the temporaries small
+    high, low = np.hstack(highs), np.hstack(lows)
+    step = max(1, _BLOCK // high.shape[1])
+    blocks = [_pruned_levels(high[r:r + step], low[r:r + step], rows[r:r + step],
+                             bits, n, size) for r in range(0, len(rows), step)]
+    high, low, rows = (np.concatenate(part) for part in zip(*blocks))
+    keep = np.flatnonzero(np.bitwise_count(rows) == size)
+    keep = keep[np.argsort(rows[keep])]
+    sums = (high[keep, 0] + low[keep, 0]).tolist()
+    return {PlayerSet(m, n): v for m, v in zip(rows[keep].tolist(), sums)}
 
 
 def superset_sum(game: Game, subset, weight) -> float:

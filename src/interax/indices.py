@@ -17,12 +17,12 @@ Every index size is one `superset_sums` call and `sii_exact` one set's
 `superset_sum`.  A game that records its Mobius terms (unanimity,
 interaction, product, linear-crosses and Mobius games) is summed from
 those terms alone, exactly and rounded once, at any n; any other game
-takes one O(n 2^n) pass over the cached Mobius coefficients, so exact
-runs reach n = 24.  The pass carries
-exact products and compensated sums, so large coefficients that cancel
-(the majority game's reach 1e6) do not cost accuracy; the order of
-operations is fixed, so results are bit-reproducible.  The README's notes
-on numerics give measured errors and times.
+takes one superset-sum pass over the cached Mobius coefficients, about
+(k + 1) 2^n additions for index size k, so exact runs reach n = 24.  The
+pass carries exact products and compensated sums, so large coefficients
+that cancel (the majority game's reach 1e6) do not cost accuracy; the
+order of operations is fixed, so results are bit-reproducible.  The
+README's notes on numerics give measured errors and times.
 """
 
 from __future__ import annotations

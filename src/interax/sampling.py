@@ -147,7 +147,8 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
     Sets below size k do not depend on the ordering: each gets its
     derivative at the empty set.  With targets given, only the players
     they mention are in scope.  Before any work, refuses an order past the
-    derivative guard and a result of more than 2^24 sets.
+    derivative guard, a result of more than 2^24 sets, and lower-order
+    derivatives that take more than 2^24 evaluations (2^j per size-j set).
     """
     n = game.n
     if not 1 <= k <= n:
@@ -168,6 +169,10 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
                     f"but the order is k={k}")
         scope = ids_from_mask(reduce(or_, target_masks))
         require_result_size("sampling", n, k, len(target_masks), len(scope))
+    evaluations = sum(math.comb(len(scope), j) << j for j in range(1, k))
+    if evaluations > 1 << DENSE_LIMIT:
+        raise ValueError(f"lower-order derivatives need {evaluations} evaluations, "
+                         f"more than 2^{DENSE_LIMIT}")
     values: dict[PlayerSet, float] = {}
     for j in range(1, k):
         s_masks = spread_bits(np.fromiter(masks_of_size(len(scope), j), np.uint64), scope)

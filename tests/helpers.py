@@ -7,8 +7,9 @@ from math import comb, factorial, fsum
 import numpy as np
 
 from interax import make_tabular
-from interax.calculus import derivative_table
-from interax.games import ids_from_mask, popcounts
+from interax.calculus import (_BLOCK, derivative_table, masks_of_size, mobius_dense,
+                              weighted_terms)
+from interax.games import PlayerSet, ids_from_mask, popcounts
 
 
 def random_tabular(rng, n, scale=1.0):
@@ -179,3 +180,38 @@ def multilinear_eval_probability_form(game, point):
     for i in range(game.n):
         weights = np.concatenate([weights * (1.0 - x[i]), weights * x[i]])
     return fsum((table * weights).tolist())
+
+
+def taylor_weight(k):
+    """The order-k Taylor weight 1/C(|T|, k) of the superset sums."""
+    return lambda t: Fraction(1, comb(t, k))
+
+
+def superset_sums_full_butterfly(game, size, weight):
+    """`calculus.superset_sums` by the full compensated butterfly: all n
+    levels over all 2^n entries, then the size-`size` entries read out.
+
+    Reference for the library's pruned, chunked pass, which must equal it
+    bit for bit, key order included.
+    """
+    n = game.n
+    weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
+    high, low = weighted_terms(mobius_dense(game), popcounts(1 << n), weights)
+    for i in range(n):
+        half = 1 << i
+        rows, cols = max(1, _BLOCK // half), min(half, _BLOCK)
+        hv, lv = high.reshape(-1, 2, half), low.reshape(-1, 2, half)
+        for r in range(0, hv.shape[0], rows):
+            for c in range(0, half, cols):
+                x, y = hv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
+                lx, ly = lv[r:r + rows, :, c:c + cols].swapaxes(0, 1)
+                s = x + y  # Knuth's two-sum: the rounding error goes to low
+                z = s - x
+                err = x - (s - z)
+                err += y - z
+                x[...] = s
+                lx += ly
+                lx += err
+    masks = list(masks_of_size(n, size))
+    sums = (high[masks] + low[masks]).tolist()
+    return {PlayerSet(m, n): v for m, v in zip(masks, sums)}

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import all_masks_of_size, derivative_recursive, prefix_before, random_tabular
-from interax import (combine, discrete_derivative, make_interaction,
-                     make_linear_crosses, make_mobius_game, make_tabular,
+from helpers import (all_masks_of_size, derivative_recursive, prefix_before,
+                     random_tabular, superset_sums_full_butterfly, taylor_weight)
+from interax import (calculus, combine, discrete_derivative, make_interaction,
+                     make_linear_crosses, make_majority, make_mobius_game, make_tabular,
                      make_unanimity, mobius_derivative_relation, mobius_transform)
-from interax.calculus import iter_submasks, masks_of_size, mobius_dense, ordering_prefixes
+from interax.calculus import (iter_submasks, masks_of_size, mobius_dense,
+                              ordering_prefixes, superset_sums)
 
 
 class TestDiscreteDerivative:
@@ -188,3 +190,30 @@ class TestOrderingPrefixes:
             targets = all_masks_of_size(6, k)
             want = [[prefix_before(perm, s) for s in targets] for perm in perms]
             assert ordering_prefixes(perms, targets).tolist() == want
+
+
+class TestSupersetSums:
+    # n = 16 and 17 span two and four chunks of 2^15 coefficients
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 16, 17])
+    def test_pruned_pass_equals_the_full_butterfly(self, n):
+        rng = np.random.default_rng(n)
+        for game in (random_tabular(rng, n, scale=100.0), make_majority(n)):
+            for size in sorted({*range(1, min(n, 4) + 1), n}):
+                got, want = (sums(game, size, taylor_weight(size))
+                             for sums in (superset_sums, superset_sums_full_butterfly))
+                assert [(p.bits, v.hex()) for p, v in got.items()] == \
+                    [(p.bits, v.hex()) for p, v in want.items()]
+
+    @pytest.mark.parametrize("n", [9, 14])
+    def test_chunk_size_does_not_change_the_sums(self, monkeypatch, n):
+        # chunks of 2^6 coefficients: many chunks, and later levels on many
+        # blocks of rows, whose survivors are no longer in ascending order
+        game = random_tabular(np.random.default_rng(n), n, scale=100.0)
+        for size in (1, 2, 3, 4, n):
+            weight = taylor_weight(size)
+            want = superset_sums_full_butterfly(game, size, weight)
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, "_BLOCK", 1 << 6)
+                got = superset_sums(game, size, weight)
+            assert [(p.bits, v.hex()) for p, v in got.items()] == \
+                [(p.bits, v.hex()) for p, v in want.items()]

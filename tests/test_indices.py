@@ -6,7 +6,8 @@ import pytest
 
 from helpers import (all_masks_of_size, mobius_sums_fractions, random_mobius_terms,
                      random_tabular, shapley_by_orderings, sii_by_sweep,
-                     sii_exact_fractions, sii_main_effects_by_sweeps, stv_by_sweeps)
+                     sii_exact_fractions, sii_main_effects_by_sweeps, stv_by_sweeps,
+                     taylor_weight)
 from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      lagrange_remainder_term, make_interaction, make_linear_crosses,
                      make_majority, make_mobius_game, make_product, make_tabular,
@@ -17,11 +18,6 @@ from interax.analysis import majority_sii_by_size
 from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
 from interax.calculus import superset_sum, superset_sums
 from interax.games import from_function, relabel
-
-
-def taylor_weight(k):
-    """The order-k Taylor weight 1/C(|T|, k) of the superset sums."""
-    return lambda t: Fraction(1, comb(t, k))
 
 
 class TestShapley:

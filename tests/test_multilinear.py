@@ -4,11 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import all_masks_of_size, multilinear_eval_probability_form, random_tabular
+from helpers import (all_masks_of_size, multilinear_eval_probability_form,
+                     random_mobius_terms, random_tabular)
 from interax import (PlayerSet, lagrange_remainder_term, make_linear_crosses,
-                     make_majority, make_product, make_tabular, make_unanimity,
-                     mixed_partial_diagonal, multilinear_eval, stv_exact,
-                     taylor_identity_check)
+                     make_majority, make_mobius_game, make_product, make_tabular,
+                     make_unanimity, mixed_partial_diagonal, multilinear_eval,
+                     stv_exact, taylor_identity_check)
 from interax.multilinear import adaptive_simpson, diagonal_partial_poly
 
 
@@ -215,8 +216,15 @@ class TestTaylorIdentity:
         assert report.passed
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            taylor_identity_check(make_unanimity(21, [0]), 2)
+        with pytest.raises(ValueError, match="needs n <= 20"):
+            taylor_identity_check(make_unanimity(21, [0]), 2, remainder_mode="quadrature")
+
+    def test_analytic_mode_past_the_quadrature_gate(self):
+        terms = random_mobius_terms(np.random.default_rng(64), 64)
+        g = make_mobius_game(64, terms)
+        assert taylor_identity_check(g, 2).passed
+        with pytest.raises(ValueError, match="needs n <= 20"):
+            taylor_identity_check(g, 2, remainder_mode="quadrature")
 
     def test_random_games(self):
         rng = np.random.default_rng(70)

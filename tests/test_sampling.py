@@ -218,6 +218,22 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match=r"more than 2\^24 sets at n=64, k=24"):
             stv_sampled_mom(g, 24, 1, 1, seed=1, targets=targets)
 
+    def test_lower_orders_past_two_to_the_twenty_four_evaluations(self):
+        # one size-24 target: 2^24 - 1 sets pass the result guard, but their
+        # derivatives at the empty set take 3^24 - 2^24 evaluations
+        plan = SamplingPlan.from_samples(1, 1, targets=(PlayerSet((1 << 24) - 1, 64),))
+        count = 3 ** 24 - 2 ** 24 - 1
+        with pytest.raises(ValueError, match=rf"need {count} evaluations, more than 2\^24"):
+            stv_sampled(make_majority(64), 24, plan)
+
+    def test_size_fourteen_target_still_runs(self):
+        g = make_majority(64)
+        target = PlayerSet((1 << 14) - 1, 64)
+        result = stv_sampled(g, 14, SamplingPlan.from_samples(1, 1, targets=(target,)))
+        assert len(result.values) == (1 << 14) - 1
+        some = PlayerSet(0b1011, 64)
+        assert result.values[some] == discrete_derivative(g, some, [])
+
 
 class TestDrawBlocks:
     @pytest.mark.parametrize("make_game,k,m", [
