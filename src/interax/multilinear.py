@@ -11,14 +11,16 @@ Lagrange remainder integrals
 
 The remainder is computed two independent ways: analytically, with exact
 integer Beta weights 1 / C(w+k, k), as the kernel's single-set sum
-`superset_sum`, and by adaptive Simpson quadrature of the diagonal mixed
-partial.  The quadrature path exists purely as an oracle for the analytic
+`superset_sum`, and by Gauss-Legendre quadrature of the diagonal mixed
+partial on ceil(n/2) nodes, exact up to rounding for the degree n - 1
+integrand.  The quadrature path exists purely as an oracle for the analytic
 one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, fsum
 
@@ -29,7 +31,6 @@ from .games import Game, PlayerSet, as_mask, popcounts
 from .indices import _mobius_values, stv_exact
 
 TAYLOR_LIMIT = 20
-_QUAD_TOL = 1e-9
 
 
 def multilinear_eval(game: Game, point) -> float:
@@ -76,37 +77,15 @@ def mixed_partial_diagonal(game: Game, subset, t: float) -> float:
     """The mixed partial of f over `subset`, evaluated on the diagonal at t."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"diagonal coordinate must be in [0, 1], got {t}")
-    return _horner(diagonal_partial_poly(game, subset), t)
+    return float(np.polyval(diagonal_partial_poly(game, subset)[::-1], t))
 
 
-def _horner(poly: np.ndarray, t: float) -> float:
-    acc = 0.0
-    for c in poly[::-1]:
-        acc = acc * t + float(c)
-    return acc
-
-
-def adaptive_simpson(fn, a: float, b: float, tol: float,
-                     max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
-    fa, fb = fn(a), fn(b)
-    mid = 0.5 * (a + b)
-    fm = fn(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, mid, fm, whole, tol, depth):
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(a, fa, mid, fm, lm, flm, left, 0.5 * tol, depth - 1)
-                + recurse(mid, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-    return recurse(a, fa, b, fb, mid, fm, whole, tol, max_depth)
+@cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the count-node Gauss-Legendre rule on [0, 1]."""
+    from numpy.polynomial.legendre import leggauss  # kept off the CLI's import path
+    nodes, weights = leggauss(count)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def lagrange_remainder_term(game: Game, subset, k: int,
@@ -115,9 +94,10 @@ def lagrange_remainder_term(game: Game, subset, k: int,
 
     mode="analytic" is the `superset_sum` of a(T) / C(|T|, k), the exact
     Beta weights, to about the last unit; mode="quadrature" integrates the
-    diagonal mixed partial numerically.  Both equal the subset's order-k
-    Shapley-Taylor value.
+    degree n - 1 diagonal integrand exactly by Gauss-Legendre on ceil(n/2)
+    nodes.  Both equal the subset's order-k Shapley-Taylor value.
     """
+    _check_mode(mode)
     s_mask = as_mask(subset, game.n)
     if s_mask.bit_count() != k:
         raise ValueError(
@@ -125,11 +105,15 @@ def lagrange_remainder_term(game: Game, subset, k: int,
             f"with k={k}")
     if mode == "analytic":
         return superset_sum(game, s_mask, lambda t: Fraction(1, comb(t, k)))
-    if mode == "quadrature":
-        poly = diagonal_partial_poly(game, s_mask)
-        return adaptive_simpson(lambda t: k * (1.0 - t) ** (k - 1) * _horner(poly, t),
-                                0.0, 1.0, _QUAD_TOL)
-    raise ValueError(f"mode must be 'analytic' or 'quadrature', got {mode!r}")
+    poly = diagonal_partial_poly(game, s_mask)
+    t, w = _gauss_legendre((game.n + 1) // 2)
+    return float((w * k * (1.0 - t) ** (k - 1))
+                 @ np.vander(t, len(poly), increasing=True) @ poly)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("analytic", "quadrature"):
+        raise ValueError(f"mode must be 'analytic' or 'quadrature', got {mode!r}")
 
 
 @dataclass
@@ -155,9 +139,10 @@ def taylor_identity_check(game: Game, k: int,
     diagonal mixed partials at 0 for sizes below k and remainder terms for
     size k, both read from `stv_exact` in the analytic mode.  Passes when
     the two agree to 1e-7 relative.  The quadrature mode integrates one
-    polynomial per size-k set and needs n <= 20; the analytic mode has
-    the limits of `stv_exact`.
+    polynomial per size-k set by Gauss-Legendre and needs n <= 20; the
+    analytic mode has the limits of `stv_exact`.
     """
+    _check_mode(remainder_mode)
     n = game.n
     if remainder_mode != "analytic" and n > TAYLOR_LIMIT:
         raise ValueError(f"quadrature identity check needs n <= {TAYLOR_LIMIT}, got n={n}")

@@ -14,10 +14,10 @@ bit for bit from its seed.  A block of orderings shares one generator,
 reseated before draw i at counter [0, i, 0, 0] with nothing buffered, so
 each ordering is the one a fresh generator at that counter would give;
 an ordering of 64 players costs about 5 us this way, against about 18 us
-for a fresh generator per draw (2-vCPU Xeon, numpy 2.4).  The draws of a block of orderings reach the
-game as one batch of subsets.  The sample-size rule
-m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual Hoeffding guarantee
-for derivatives bounded by r in magnitude.
+for a fresh generator per draw (2-vCPU Xeon, numpy 2.4).  The draws of a
+block of orderings reach the game as one batch of subsets.  The
+sample-size rule m = ceil(2 ln(2/delta) r^2 / eps^2) gives the usual
+Hoeffding guarantee for derivatives bounded by r in magnitude.
 """
 
 from __future__ import annotations

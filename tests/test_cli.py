@@ -157,6 +157,17 @@ class TestIndexCommand:
         rows = proc.stdout.splitlines()[1:]
         assert [float(row.rsplit(",", 1)[1]) for row in rows] == [1 / 3] * 3
 
+    def test_import_leaves_out_numpy_polynomial(self):
+        # the quadrature rule loads numpy.polynomial on first use, not at start-up
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, interax.cli; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+            cwd=Path(interax.__file__).parents[2])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_mom_mode(self, tmp_path):
         out = tmp_path / "m.json"
         rc = run(["index", "--builtin", "linear-crosses:c=3", "--k", "2",

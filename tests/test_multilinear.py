@@ -10,7 +10,7 @@ from interax import (PlayerSet, lagrange_remainder_term, make_linear_crosses,
                      make_majority, make_mobius_game, make_product, make_tabular,
                      make_unanimity, mixed_partial_diagonal, multilinear_eval,
                      stv_exact, taylor_identity_check)
-from interax.multilinear import adaptive_simpson, diagonal_partial_poly
+from interax.multilinear import _gauss_legendre, diagonal_partial_poly
 
 
 class TestMultilinearEval:
@@ -142,13 +142,15 @@ class TestLagrangeRemainder:
 
     def test_modes_agree_on_random_games(self):
         rng = np.random.default_rng(67)
-        g = random_tabular(rng, 6)
         worst = 0.0
-        for m in all_masks_of_size(6, 2):
-            a = lagrange_remainder_term(g, m, 2, "analytic")
-            q = lagrange_remainder_term(g, m, 2, "quadrature")
-            worst = max(worst, abs(a - q))
-        assert worst <= 1e-8
+        for n in range(2, 9):
+            g = random_tabular(rng, n)
+            for k in range(1, min(n, 3) + 1):
+                for m in all_masks_of_size(n, k):
+                    a = lagrange_remainder_term(g, m, k, "analytic")
+                    q = lagrange_remainder_term(g, m, k, "quadrature")
+                    worst = max(worst, abs(a - q))
+        assert worst <= 1e-12
 
     def test_equals_order_k_taylor_value(self):
         rng = np.random.default_rng(68)
@@ -219,6 +221,16 @@ class TestTaylorIdentity:
         with pytest.raises(ValueError, match="needs n <= 20"):
             taylor_identity_check(make_unanimity(21, [0]), 2, remainder_mode="quadrature")
 
+    @pytest.mark.parametrize("make_game", [lambda: make_unanimity(25, [0]),
+                                           lambda: make_tabular(6, np.arange(64.0))],
+                             ids=["n=25", "n=6"])
+    def test_unknown_mode_rejected_before_any_work(self, make_game):
+        g = make_game()
+        before = set(g.derived)
+        with pytest.raises(ValueError, match="mode must be"):
+            taylor_identity_check(g, 2, remainder_mode="psychic")
+        assert set(g.derived) == before
+
     def test_analytic_mode_past_the_quadrature_gate(self):
         terms = random_mobius_terms(np.random.default_rng(64), 64)
         g = make_mobius_game(64, terms)
@@ -237,18 +249,17 @@ class TestTaylorIdentity:
                 assert taylor_identity_check(g, k).passed
 
 
-class TestAdaptiveSimpson:
-    def test_exact_on_cubics(self):
-        val = adaptive_simpson(lambda t: t ** 3 - 2 * t + 1, 0.0, 1.0, 1e-12)
-        assert val == pytest.approx(0.25, abs=1e-12)
-
-    def test_sine(self):
-        val = adaptive_simpson(math.sin, 0.0, math.pi, 1e-10)
-        assert val == pytest.approx(2.0, abs=1e-9)
-
-    def test_high_degree_polynomial(self):
-        val = adaptive_simpson(lambda t: 9 * t ** 8, 0.0, 1.0, 1e-10)
-        assert val == pytest.approx(1.0, abs=1e-9)
+class TestGaussLegendre:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_exact_to_degree_2m_minus_1(self, m):
+        # on [0, 1] the m-node rule misses t^(2m) by exactly
+        # (m!)^4 / ((2m+1) ((2m)!)^2), the Gauss error term
+        t, w = _gauss_legendre(m)
+        assert abs(w @ t ** (2 * m - 1) - 1 / (2 * m)) <= 1e-15
+        miss = 1 / (2 * m + 1) - w @ t ** (2 * m)
+        gauss_error = math.factorial(m) ** 4 / (
+            (2 * m + 1) * math.factorial(2 * m) ** 2)
+        assert miss / gauss_error == pytest.approx(1.0, rel=1e-3)
 
 
 class TestDiagonalPoly:
