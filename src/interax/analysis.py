@@ -26,7 +26,6 @@ from .indices import IndexResult, sii_exact, sii_main_effects, stv_exact
 from .sampling import SamplingPlan, stv_sampled
 
 SWEEP_LIMIT = 16
-AGGREGATE_EXACT_LIMIT = 20
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +230,8 @@ def aggregate_crosses(games: list[Game], k: int, aggregation: str = "mean",
                       plan: SamplingPlan | None = None) -> CrossRanking:
     """Rank subsets by mean (or mean absolute) Taylor value across games.
 
-    All games must share one player count.  Exact computation is used up
-    to n = 20; beyond that a sampling plan must be supplied.
+    All games must share one player count.  Without a sampling plan each
+    game takes `stv_exact`, within its limits.
     """
     if not games:
         raise ValueError("need at least one game to aggregate")
@@ -243,11 +242,6 @@ def aggregate_crosses(games: list[Game], k: int, aggregation: str = "mean",
     for game in games[1:]:
         if game.n != n:
             raise ValueError(f"games mix player counts {n} and {game.n}")
-    if plan is None and n > AGGREGATE_EXACT_LIMIT:
-        raise ValueError(
-            f"exact aggregation needs n <= {AGGREGATE_EXACT_LIMIT}; "
-            "supply a sampling plan")
-
     results: list[IndexResult] = []
     for game in games:
         if plan is None:

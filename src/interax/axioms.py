@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game, PlayerSet, combine, make_interaction, make_tabular, relabel
+from .games import (DENSE_LIMIT, Game, PlayerSet, combine, make_interaction, make_tabular,
+                    relabel)
 from .indices import IndexResult, efficiency_residual, stv_exact
 
 LINEARITY_TOL = 1e-9
@@ -136,9 +137,9 @@ def check_interaction_distribution(n: int, k: int) -> AxiomCheck:
 
 def run_axiom_checks(game: Game, k: int, seed: int) -> list[AxiomCheck]:
     """All five axiom checks for the order-k Taylor index around a game."""
-    if game.n > 23:
+    if game.n >= DENSE_LIMIT:  # the dummy check sweeps a game of n + 1 players
         raise ValueError("axiom checks extend the game by one player and "
-                         f"sweep it exactly; need n <= 23, got n={game.n}")
+                         f"sweep it exactly; need n <= {DENSE_LIMIT - 1}, got n={game.n}")
     result = stv_exact(game, k)
     return [
         check_linearity(game, result, seed),

@@ -13,6 +13,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import fsum, lcm
 
 import numpy as np
@@ -217,29 +218,32 @@ def _split(x):
     return high, x - high
 
 
-def weighted_terms(coefs: np.ndarray, sizes: np.ndarray, weights) -> tuple:
-    """weights[sizes] * coefs as a pair (product, error), exact in sum to
-    about twice the working precision.
+@lru_cache(maxsize=256)
+def weight_table(weight, size: int, n: int) -> np.ndarray:
+    """Rows (float, its two halves, residue) of weight(t), t = 0..n, zero
+    below `size`: `weighted_terms`' set-up, cached per weight object."""
+    exact = [Fraction(weight(t)) if t >= size else Fraction(0) for t in range(n + 1)]
+    w = np.array([float(x) for x in exact])
+    table = np.stack([w, *_split(w), [float(x - Fraction(float(x))) for x in exact]])
+    table.setflags(write=False)
+    return table
+
+
+def weighted_terms(coefs: np.ndarray, sizes: np.ndarray, table: np.ndarray) -> tuple:
+    """A `weight_table`'s weights[sizes] * coefs as a pair (product, error),
+    exact in sum to about twice the working precision.
 
     Each rational weight is a float plus its residue, and its product with
     the float is split exactly (Dekker's two-product): where large
     coefficients cancel, one rounding per term costs more than the sum.
     """
-    w = np.array([float(x) for x in weights])
-    w_rest = np.array([float(Fraction(x) - Fraction(float(x))) for x in weights])
-    w_high, w_low = _split(w)
-    product, error = np.empty(coefs.size), np.empty(coefs.size)
-    for start in range(0, coefs.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        a, size = coefs[block], sizes[block]
-        p = np.multiply(w[size], a, out=product[block])
-        (ah, al), wh, wl = _split(a), w_high[size], w_low[size]
-        error[block] = ((wh * ah - p) + wh * al + wl * ah) + wl * al + w_rest[size] * a
-    return product, error
+    w, wh, wl, w_rest = (row[sizes] for row in table)  # 1-D gathers: faster than 2-D
+    product, (ah, al) = w * coefs, _split(coefs)
+    return product, ((wh * ah - product) + wh * al + wl * ah) + wl * al + w_rest * coefs
 
 
 def _pruned_levels(high, low, rows, first, stop, size):
-    """Butterfly levels first..stop-1 of `superset_sums` on a block of rows.
+    """Butterfly levels first..stop-1 of `_superset_pass` on a block of rows.
 
     Row r holds the entries whose bits below `first` form the pattern
     rows[r]; column c sets the bits from `first` on to c.  Each level adds
@@ -258,9 +262,42 @@ def _pruned_levels(high, low, rows, first, stop, size):
         carry = lx + ly
         carry += err
         odd = np.bitwise_count(rows) < size
+        if not odd.any():  # no row gains a member: skip three empty copies
+            high, low = s, carry
+            continue
         high, low = np.concatenate([s, y[odd]]), np.concatenate([carry, ly[odd]])
         rows = np.concatenate([rows, rows[odd] | 1 << i])
     return high, low, rows
+
+
+def _superset_pass(coefs: np.ndarray, size: int, table: np.ndarray) -> tuple:
+    """Superset sums of 2^m coefficients with `weight_table` weights:
+    (masks, sums) of the size-`size` entries, ascending.  The butterfly
+    carries only the entries that can still reach a size-`size` set, about
+    (size + 1) 2^m two-sums, one chunk of 2^15 coefficients at a time for
+    its levels below bit 15.  No level writes an entry holding its bit, so
+    an entry's sum depends only on its supersets, in a fixed order."""
+    width = min(coefs.size, _BLOCK)
+    bits, sizes = width.bit_length() - 1, popcounts(width)
+    parts = []
+    for start in range(0, coefs.size, width):  # levels below `bits` stay in a chunk
+        ones = (start >> bits).bit_count()  # members among the chunk's fixed bits
+        high, low = weighted_terms(coefs[start:start + width], sizes,
+                                   table[:, ones:ones + bits + 1])
+        high, low, rows = _pruned_levels(high[None], low[None], np.zeros(1, np.int64),
+                                         0, bits, size)
+        parts.append((high, low))
+    # one column per chunk, whose index sets the bits from `bits` on; the
+    # remaining levels run on blocks of rows to keep the temporaries small
+    high, low = (np.hstack(part) for part in zip(*parts))
+    step = max(1, _BLOCK // high.shape[1])
+    blocks = [_pruned_levels(high[r:r + step], low[r:r + step], rows[r:r + step],
+                             bits, coefs.size.bit_length() - 1, size)
+              for r in range(0, len(rows), step)]
+    high, low, rows = (np.concatenate(part) for part in zip(*blocks))
+    keep = np.flatnonzero(np.bitwise_count(rows) == size)
+    keep = keep[np.argsort(rows[keep])]
+    return rows[keep].tolist(), (high[keep, 0] + low[keep, 0]).tolist()
 
 
 def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
@@ -270,17 +307,12 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
     with known Mobius terms adds each term's weighted coefficient to its
     size-`size` subsets as integers over one common denominator, then
     divides once (int / int rounds correctly): each result is the exact
-    sum, rounded.  Any other game takes a superset-sum butterfly over the
-    cached Mobius coefficients, the mirror of `mobius_dense`, with exact
-    products and compensated additions: each result is the sum of the
-    float coefficients to about the last unit, even where large
-    coefficients cancel.  The butterfly carries only the entries that can
-    still reach a size-`size` set: about (size + 1) 2^n two-sums, against
-    n 2^(n - 1) for every level over every entry.  Its levels below bit 15
-    run on one chunk of 2^15 coefficients at a time, the later ones on
-    the few entries each chunk leaves.  The order of operations is fixed,
-    so results are bit-reproducible.  Returns {PlayerSet: sum} in
-    ascending mask order.
+    sum, rounded.  Any other game takes `_superset_pass` over the cached
+    Mobius coefficients, the mirror of `mobius_dense`, with exact products
+    and compensated additions: each result is the sum of the float
+    coefficients to about the last unit, even where large coefficients
+    cancel.  The order of operations is fixed, so results are
+    bit-reproducible.  Returns {PlayerSet: sum} in ascending mask order.
     """
     n = game.n
     terms = game.derived.get("mobius_terms")
@@ -295,39 +327,17 @@ def superset_sums(game: Game, size: int, weight) -> dict[PlayerSet, float]:
             for bits in itertools.combinations(members, size):
                 exact[sum(bits)] += num
         return {PlayerSet(m, n): exact.get(m, 0) / den for m in masks_of_size(n, size)}
-    weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
-    coefs = mobius_dense(game)
-    width = min(coefs.size, _BLOCK)
-    bits, sizes = width.bit_length() - 1, popcounts(width)
-    highs, lows = [], []
-    for start in range(0, coefs.size, width):  # levels below `bits` stay in a chunk
-        ones = (start >> bits).bit_count()  # members among the chunk's fixed bits
-        high, low = weighted_terms(coefs[start:start + width], sizes,
-                                   weights[ones:ones + bits + 1])
-        high, low, rows = _pruned_levels(high[None], low[None], np.zeros(1, np.int64),
-                                         0, bits, size)
-        highs.append(high)
-        lows.append(low)
-    # one column per chunk, whose index sets the bits from `bits` on; the
-    # remaining levels run on blocks of rows to keep the temporaries small
-    high, low = np.hstack(highs), np.hstack(lows)
-    step = max(1, _BLOCK // high.shape[1])
-    blocks = [_pruned_levels(high[r:r + step], low[r:r + step], rows[r:r + step],
-                             bits, n, size) for r in range(0, len(rows), step)]
-    high, low, rows = (np.concatenate(part) for part in zip(*blocks))
-    keep = np.flatnonzero(np.bitwise_count(rows) == size)
-    keep = keep[np.argsort(rows[keep])]
-    sums = (high[keep, 0] + low[keep, 0]).tolist()
-    return {PlayerSet(m, n): v for m, v in zip(rows[keep].tolist(), sums)}
+    masks, sums = _superset_pass(mobius_dense(game), size, weight_table(weight, size, n))
+    return {PlayerSet(m, n): v for m, v in zip(masks, sums)}
 
 
 def superset_sum(game: Game, subset, weight) -> float:
-    """`superset_sums` for one set S, with the same weight convention.
+    """`superset_sums`' float for one set S, with the same weights.
 
-    Known Mobius terms are summed in exact rationals and rounded once, as
-    `superset_sums` does, so the two agree bit for bit.  Otherwise one
-    O(2^(n - |S|)) gather of the cached Mobius coefficients, exact
-    products added by math.fsum: accurate to about the last unit.
+    Known Mobius terms are summed in exact rationals and rounded once.
+    Otherwise `_superset_pass` sums the 2^(n - |S|) gathered coefficients
+    of S's supersets into their empty set: the same operations, in the
+    same order, as S's entry of the whole-size pass.
     """
     s_mask = as_mask(subset, game.n)
     known = game.derived.get("mobius_terms")
@@ -335,10 +345,8 @@ def superset_sum(game: Game, subset, weight) -> float:
         return float(sum(Fraction(weight(t.bit_count())) * Fraction(c)
                          for t, c in known if t & s_mask == s_mask))
     s = s_mask.bit_count()
-    supersets = superset_view(game, s_mask)
-    terms = weighted_terms(supersets, popcounts(supersets.size),
-                           [weight(s + w) for w in range(game.n - s + 1)])
-    return fsum(np.concatenate(terms).tolist())
+    table = weight_table(weight, s, game.n)[:, s:]
+    return _superset_pass(superset_view(game, s_mask), 0, table)[1][0]
 
 
 def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:

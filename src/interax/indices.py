@@ -13,16 +13,17 @@ a(T) / (|T| - |S| + 1) over supersets T.  It does not satisfy efficiency;
 pairwise interaction from the Shapley value), which restores efficiency by
 construction.
 
-Every index size is one `superset_sums` call and `sii_exact` one set's
-`superset_sum`.  A game that records its Mobius terms (unanimity,
-interaction, product, linear-crosses and Mobius games) is summed from
-those terms alone, exactly and rounded once, at any n; any other game
-takes one superset-sum pass over the cached Mobius coefficients, about
-(k + 1) 2^n additions for index size k, so exact runs reach n = 24.  The
-pass carries exact products and compensated sums, so large coefficients
-that cancel (the majority game's reach 1e6) do not cost accuracy; the
-order of operations is fixed, so results are bit-reproducible.  The
-README's notes on numerics give measured errors and times.
+Every index size is one `superset_sums` call with the index's weight, and
+`sii_exact` is one set's `superset_sum`, the same float as its `sii_index`
+entry.  A game that records its Mobius terms (unanimity, interaction,
+product, linear-crosses and Mobius games) is summed from those terms
+alone, exactly and rounded once, at any n; any other game takes one
+superset-sum pass over the cached Mobius coefficients, about (k + 1) 2^n
+additions for index size k, so exact runs reach n = 24.  The pass carries
+exact products and compensated sums, so large coefficients that cancel
+(the majority game's reach 1e6) do not cost accuracy; the order of
+operations is fixed, so results are bit-reproducible.  The README's notes
+on numerics give measured errors and times.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, fsum
 
 import numpy as np
@@ -119,6 +121,12 @@ def _mobius_values(game: Game, sizes) -> dict[PlayerSet, float]:
     return {PlayerSet(m, n): float(coefs[m]) for j in sizes for m in masks_of_size(n, j)}
 
 
+# each index's superset weight, one object per order so that `weight_table`
+# sets it up once: Shapley-Taylor 1 / C(|T|, k), interaction 1 / (|T| - |S| + 1)
+taylor_weight = cache(lambda k: lambda t: Fraction(1, comb(t, k)))
+interaction_weight = cache(lambda s: lambda t: Fraction(1, t - s + 1))
+
+
 def stv_exact(game: Game, k: int) -> IndexResult:
     """Order-k Shapley-Taylor values for every subset of size 1..k.
 
@@ -131,7 +139,7 @@ def stv_exact(game: Game, k: int) -> IndexResult:
         raise ValueError(f"order k must be in 1..{game.n}, got {k}")
     _require_dense(game, "exact index computation", k)
     values = _mobius_values(game, range(1, k))
-    values.update(superset_sums(game, k, lambda t: Fraction(1, comb(t, k))))
+    values.update(superset_sums(game, k, taylor_weight(k)))
     return IndexResult("stv", k, values, {"mode": "exact"})
 
 
@@ -175,8 +183,7 @@ def sii_exact(game: Game, subset) -> float:
     if s_mask == 0:
         raise ValueError("interaction index needs a nonempty subset")
     _require_dense(game, "exact index computation")
-    s = s_mask.bit_count()
-    return superset_sum(game, s_mask, lambda t: Fraction(1, t - s + 1))
+    return superset_sum(game, s_mask, interaction_weight(s_mask.bit_count()))
 
 
 def sii_index(game: Game, k: int) -> IndexResult:
@@ -186,7 +193,7 @@ def sii_index(game: Game, k: int) -> IndexResult:
     _require_dense(game, "exact index computation", k)
     values: dict[PlayerSet, float] = {}
     for s in range(1, k + 1):
-        values.update(superset_sums(game, s, lambda t, s=s: Fraction(1, t - s + 1)))
+        values.update(superset_sums(game, s, interaction_weight(s)))
     return IndexResult("sii", k, values, {"mode": "exact"})
 
 

@@ -9,26 +9,25 @@ Lagrange remainder integrals
 
     integral_0^1 k (1-t)^(k-1) D_S f(t, ..., t) dt.
 
-The remainder is computed two independent ways: analytically, with exact
-integer Beta weights 1 / C(w+k, k), as the kernel's single-set sum
-`superset_sum`, and by Gauss-Legendre quadrature of the diagonal mixed
-partial on ceil(n/2) nodes, exact up to rounding for the degree n - 1
-integrand.  The quadrature path exists purely as an oracle for the analytic
-one.
+The remainder is computed two independent ways: analytically, as the
+kernel's single-set sum `superset_sum` with the exact Beta weights
+1 / C(|T|, k) of `stv_exact`, whose float it equals, and by Gauss-Legendre
+quadrature of the diagonal mixed partial on ceil(n/2) nodes, exact up to
+rounding for the degree n - 1 integrand.  The quadrature path exists purely
+as an oracle for the analytic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
-from math import comb, fsum
+from math import fsum
 
 import numpy as np
 
 from .calculus import masks_of_size, mobius_dense, superset_sum, superset_view
 from .games import Game, PlayerSet, as_mask, popcounts
-from .indices import _mobius_values, stv_exact
+from .indices import _mobius_values, stv_exact, taylor_weight
 
 TAYLOR_LIMIT = 20
 
@@ -93,9 +92,10 @@ def lagrange_remainder_term(game: Game, subset, k: int,
     """The size-k remainder integral for one subset, |subset| = k.
 
     mode="analytic" is the `superset_sum` of a(T) / C(|T|, k), the exact
-    Beta weights, to about the last unit; mode="quadrature" integrates the
-    degree n - 1 diagonal integrand exactly by Gauss-Legendre on ceil(n/2)
-    nodes.  Both equal the subset's order-k Shapley-Taylor value.
+    Beta weights: the subset's `stv_exact` float.  mode="quadrature"
+    integrates the degree n - 1 diagonal integrand exactly by
+    Gauss-Legendre on ceil(n/2) nodes.  Both equal the subset's order-k
+    Shapley-Taylor value.
     """
     _check_mode(mode)
     s_mask = as_mask(subset, game.n)
@@ -104,7 +104,7 @@ def lagrange_remainder_term(game: Game, subset, k: int,
             f"remainder term needs |subset| = k; got size {s_mask.bit_count()} "
             f"with k={k}")
     if mode == "analytic":
-        return superset_sum(game, s_mask, lambda t: Fraction(1, comb(t, k)))
+        return superset_sum(game, s_mask, taylor_weight(k))
     poly = diagonal_partial_poly(game, s_mask)
     t, w = _gauss_legendre((game.n + 1) // 2)
     return float((w * k * (1.0 - t) ** (k - 1))

@@ -8,7 +8,7 @@ import numpy as np
 
 from interax import make_tabular
 from interax.calculus import (_BLOCK, derivative_table, masks_of_size, mobius_dense,
-                              weighted_terms)
+                              weight_table, weighted_terms)
 from interax.games import PlayerSet, ids_from_mask, popcounts
 
 
@@ -187,6 +187,11 @@ def taylor_weight(k):
     return lambda t: Fraction(1, comb(t, k))
 
 
+def interaction_weight(s):
+    """The interaction weight 1/(|T| - s + 1) of a size-s set's superset sums."""
+    return lambda t: Fraction(1, t - s + 1)
+
+
 def superset_sums_full_butterfly(game, size, weight):
     """`calculus.superset_sums` by the full compensated butterfly: all n
     levels over all 2^n entries, then the size-`size` entries read out.
@@ -195,8 +200,8 @@ def superset_sums_full_butterfly(game, size, weight):
     bit for bit, key order included.
     """
     n = game.n
-    weights = [weight(t) if t >= size else 0 for t in range(n + 1)]
-    high, low = weighted_terms(mobius_dense(game), popcounts(1 << n), weights)
+    high, low = weighted_terms(mobius_dense(game), popcounts(1 << n),
+                               weight_table(weight, size, n))
     for i in range(n):
         half = 1 << i
         rows, cols = max(1, _BLOCK // half), min(half, _BLOCK)

@@ -3,12 +3,14 @@ from math import comb, fsum
 import numpy as np
 import pytest
 
-from helpers import random_tabular
+from helpers import random_mobius_terms, random_tabular
 from interax import (SamplingPlan, aggregate_crosses, cross_comparison,
                      majority_sweep, make_interaction, make_linear_crosses,
-                     make_majority, make_tabular, sii_exact, stv_exact)
+                     make_majority, make_mobius_game, make_tabular, sii_exact,
+                     stv_exact)
 from interax.analysis import (majority_sii_by_size, sweep_gnuplot_script,
                               sweep_to_csv)
+from interax.games import from_function
 
 
 class TestMajoritySweep:
@@ -166,6 +168,21 @@ class TestAggregateCrosses:
         for pset, val, _ in ranking.entries:
             if pset.size == 2:
                 assert val == pytest.approx(1.0, abs=0.1)
+
+    def test_exact_past_the_dense_gate_for_games_with_terms(self):
+        # recorded Mobius terms need no dense table, so stv_exact takes n = 48
+        rng = np.random.default_rng(48)
+        games = [make_mobius_game(48, random_mobius_terms(rng, 48)) for _ in range(3)]
+        results = [stv_exact(g, 2).values for g in games]
+        ranking = aggregate_crosses(games, 2, "mean")
+        assert len(ranking.entries) == len(results[0])
+        for pset, val, _ in ranking.entries:
+            assert val == fsum(r[pset] for r in results) / 3
+
+    def test_dense_game_past_the_gate_rejected(self):
+        g = from_function(25, lambda mask: float(mask.bit_count()))
+        with pytest.raises(ValueError, match="n <= 24"):
+            aggregate_crosses([g], 1)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,26 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (all_masks_of_size, derivative_recursive, prefix_before,
-                     random_tabular, superset_sums_full_butterfly, taylor_weight)
+from helpers import (all_masks_of_size, derivative_recursive, interaction_weight,
+                     mobius_sums_fractions, prefix_before, random_tabular,
+                     superset_sums_full_butterfly, taylor_weight)
 from interax import (calculus, combine, discrete_derivative, make_interaction,
                      make_linear_crosses, make_majority, make_mobius_game, make_tabular,
                      make_unanimity, mobius_derivative_relation, mobius_transform)
 from interax.calculus import (iter_submasks, masks_of_size, mobius_dense,
-                              ordering_prefixes, superset_sums)
+                              ordering_prefixes, superset_sum, superset_sums)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+# (n, size, rule, terms): Mobius terms {mask: coefficient} on n players, a
+# set size and the weight rule of the superset sums
+SUM_CASES = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(n, 3)),
+    st.sampled_from([taylor_weight, interaction_weight]),
+    st.dictionaries(st.integers(0, (1 << n) - 1), st.floats(-1.0, 1.0), max_size=40)))
 
 
 class TestDiscreteDerivative:
@@ -215,5 +227,24 @@ class TestSupersetSums:
             with monkeypatch.context() as patch:
                 patch.setattr(calculus, "_BLOCK", 1 << 6)
                 got = superset_sums(game, size, weight)
+                # single sets gather 2^(n - size) coefficients: several chunks
+                # below size n; a spread of at most eight sets per size
+                picked = list(want)[::max(1, len(want) // 8)]
+                single = {pset: superset_sum(game, pset, weight) for pset in picked}
             assert [(p.bits, v.hex()) for p, v in got.items()] == \
                 [(p.bits, v.hex()) for p, v in want.items()]
+            assert [v.hex() for v in single.values()] == [want[p].hex() for p in picked]
+
+
+class TestSupersetSumProperties:
+    @PROPERTY
+    @given(SUM_CASES)
+    def test_dense_sums_match_exact_rationals(self, case):
+        # the tabular copy drops the terms: both sums take the dense pass
+        n, size, rule, terms = case
+        game = make_tabular(n, make_mobius_game(n, terms).dense_table())
+        weight = rule(size)
+        for pset, v in superset_sums(game, size, weight).items():
+            want = mobius_sums_fractions(terms, pset.bits, weight)
+            assert abs(v - want) <= 1e-12
+            assert abs(superset_sum(game, pset, weight) - want) <= 1e-12

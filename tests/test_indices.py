@@ -4,10 +4,10 @@ from math import comb, fsum
 import numpy as np
 import pytest
 
-from helpers import (all_masks_of_size, mobius_sums_fractions, random_mobius_terms,
-                     random_tabular, shapley_by_orderings, sii_by_sweep,
-                     sii_exact_fractions, sii_main_effects_by_sweeps, stv_by_sweeps,
-                     taylor_weight)
+from helpers import (all_masks_of_size, interaction_weight, mobius_sums_fractions,
+                     random_mobius_terms, random_tabular, shapley_by_orderings,
+                     sii_by_sweep, sii_exact_fractions, sii_main_effects_by_sweeps,
+                     stv_by_sweeps, taylor_weight)
 from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      lagrange_remainder_term, make_interaction, make_linear_crosses,
                      make_majority, make_mobius_game, make_product, make_tabular,
@@ -17,7 +17,7 @@ from interax import axioms
 from interax.analysis import majority_sii_by_size
 from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
 from interax.calculus import superset_sum, superset_sums
-from interax.games import from_function, relabel
+from interax.games import DENSE_LIMIT, from_function, relabel
 
 
 class TestShapley:
@@ -362,12 +362,35 @@ class TestSparseRoute:
             assert sii_exact(g, pset) == want_sii
         assert abs(efficiency_residual(stv, g)) <= EFFICIENCY_TOL * max(1.0, abs(g.span()))
 
-    @pytest.mark.parametrize("n", [48, 64])
+    # n = 9 and 12 are a tabular and a majority game: the dense route runs
+    # one pass for the whole size and for one set's gathered supersets
+    @pytest.mark.parametrize("n", [48, 64, 9, 12])
     def test_single_set_sum_equals_the_whole_size_pass(self, n):
-        g = make_mobius_game(n, random_mobius_terms(np.random.default_rng(n + 1), n))
+        rng = np.random.default_rng(n + 1)
+        g = (make_mobius_game(n, random_mobius_terms(rng, n)) if n > DENSE_LIMIT
+             else random_tabular(rng, n, scale=100.0) if n == 9 else make_majority(n))
         for size in (1, 2, 3):
-            for pset, v in superset_sums(g, size, taylor_weight(size)).items():
-                assert superset_sum(g, pset, taylor_weight(size)) == v
+            for weight in (taylor_weight(size), interaction_weight(size)):
+                for pset, v in superset_sums(g, size, weight).items():
+                    assert superset_sum(g, pset, weight).hex() == v.hex()
+            if n <= DENSE_LIMIT:  # test_indices_match_fraction_sums pins the term route
+                self.assert_single_sets_match(g, size)
+
+    def test_single_set_indices_on_criterion_six_tables(self):
+        rng = np.random.default_rng(60600)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            g = random_tabular(rng, n)
+            for size in range(1, min(n, 3) + 1):
+                self.assert_single_sets_match(g, size)
+
+    @staticmethod
+    def assert_single_sets_match(g, size):
+        """sii_exact is sii_index's float, the analytic remainder stv_exact's."""
+        sii, stv = sii_index(g, size).values, stv_exact(g, size).values
+        for pset in (p for p in stv if p.size == size):
+            assert sii_exact(g, pset).hex() == sii[pset].hex()
+            assert lagrange_remainder_term(g, pset, size).hex() == stv[pset].hex()
 
     def test_games_with_terms_skip_the_dense_table(self):
         for g in (make_unanimity(40, [0, 5, 39]), make_interaction(64, [1, 2], 2.5),
@@ -494,6 +517,12 @@ class TestAxiomProperties:
         assert sum(game is g for game in calls) == 1
         # the combined, extended, relabeled and crossed companions get their own
         assert len(calls) > 1
+
+    def test_axiom_checks_leave_room_for_the_dummy_player(self):
+        g = from_function(DENSE_LIMIT, lambda mask: float(mask.bit_count()))
+        limit = f"need n <= {DENSE_LIMIT - 1}, got n={DENSE_LIMIT}"
+        with pytest.raises(ValueError, match=limit):
+            run_axiom_checks(g, 1, 0)
 
     def test_interaction_distribution_past_the_dense_gate(self):
         # interaction games carry their one Mobius term, so the check makes
