@@ -18,7 +18,8 @@ from math import fsum, lcm
 
 import numpy as np
 
-from .games import DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask, popcounts
+from .games import (DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask, popcounts,
+                    spread_bits)
 
 
 def iter_submasks(mask: int):
@@ -142,11 +143,6 @@ class MobiusExpansion:
     def coefficient(self, subset) -> float:
         return self.coefficients.get(as_mask(subset, self.n), 0.0)
 
-    def items(self):
-        """(PlayerSet, coefficient) pairs in ascending mask order."""
-        for mask in sorted(self.coefficients):
-            yield PlayerSet(mask, self.n), self.coefficients[mask]
-
     def dense(self) -> np.ndarray:
         out = np.zeros(1 << self.n, dtype=np.float64)
         for mask, c in self.coefficients.items():
@@ -191,6 +187,36 @@ def mobius_dense(game: Game) -> np.ndarray:
         out = MobiusExpansion(n, dict(terms)).dense()
     out.setflags(write=False)
     return game.derived.setdefault("mobius_dense", out)
+
+
+def mobius_below(game: Game, k: int, scope=None) -> dict[PlayerSet, float]:
+    """a(S) for every nonempty S of fewer than k players from `scope`
+    (ascending ids; all n unless given), by size, then by mask: recorded
+    Mobius terms, else each set's derivative at the empty set from one
+    evaluation per set.  Step r differences every set along its r-th
+    smallest member in place, so a(S) is the same float as
+    `derivative(game, S, 0)` and as S's `mobius_dense` entry.
+    """
+    width = game.n if scope is None else len(scope)
+    masks = np.fromiter(itertools.chain.from_iterable(
+        masks_of_size(width, j) for j in range(k)), np.uint64)  # the empty set first
+    if width < game.n:
+        masks = spread_bits(masks, scope)
+    terms = game.derived.get("mobius_terms")
+    if terms is not None:
+        known = dict(terms)
+        coefs = [known.get(m, 0.0) for m in masks.tolist()]
+    else:
+        coefs, rest, sorter = np.array(game.values(masks)), masks, np.argsort(masks)
+        for _ in range(k - 1):
+            low = rest & (~rest + np.uint64(1))  # each set's smallest member left
+            rest = rest ^ low
+            has = np.flatnonzero(low)
+            # the right side is read before any entry of this step is written
+            coefs[has] -= coefs[sorter[np.searchsorted(masks, masks[has] ^ low[has],
+                                                       sorter=sorter)]]
+        coefs = coefs.tolist()
+    return {PlayerSet(m, game.n): c for m, c in zip(masks[1:].tolist(), coefs[1:])}
 
 
 def superset_view(game: Game, subset) -> np.ndarray:
@@ -363,7 +389,9 @@ def mobius_derivative_relation(game: Game, diff_set, at) -> tuple[float, float]:
     union = s_mask | t_mask
     if union.bit_count() > DENSE_LIMIT:
         raise ValueError(f"combined order exceeds the {DENSE_LIMIT} guard")
-    lhs = float(derivative(game, union, 0))  # a(T | S) as a derivative at empty
+    # a(S | T), read over its own players; a of the empty set is v(empty set)
+    lhs = (mobius_below(game, union.bit_count() + 1, ids_from_mask(union))[
+        PlayerSet(union, game.n)] if union else game.value(0))
     t = t_mask.bit_count()
     subs = list(iter_submasks(t_mask))
     rhs = fsum(-d if (t - w.bit_count()) & 1 else d

@@ -45,6 +45,17 @@ def parse_player_list(text: str) -> list[int]:
     return ids
 
 
+# builtin name -> (constructor, a parser for each of its options, in call order)
+BUILTINS = {
+    "unanimity": (games.make_unanimity, {"n": int, "set": parse_player_list}),
+    "interaction": (games.make_interaction,
+                    {"n": int, "set": parse_player_list, "c": float}),
+    "majority": (games.make_majority, {"n": int}),
+    "linear-crosses": (games.make_linear_crosses, {"c": float}),
+    "product": (games.make_product, {"n": int}),
+}
+
+
 def parse_builtin(spec: str) -> Game:
     """Build a game from a spec string like 'linear-crosses:c=3'."""
     name, _, rest = spec.partition(":")
@@ -56,35 +67,16 @@ def parse_builtin(spec: str) -> Game:
             if not eq:
                 raise ValueError(f"bad builtin option {pair!r} in {spec!r}")
             options[key.strip()] = value.strip()
-
-    def want(*keys):
-        missing = [k for k in keys if k not in options]
-        if missing:
-            raise ValueError(f"builtin {name!r} needs option(s): {missing}")
-        extra = [k for k in options if k not in keys]
-        if extra:
-            raise ValueError(f"builtin {name!r} got unknown option(s): {extra}")
-
-    if name == "unanimity":
-        want("n", "set")
-        return games.make_unanimity(int(options["n"]),
-                                    parse_player_list(options["set"]))
-    if name == "interaction":
-        want("n", "set", "c")
-        return games.make_interaction(int(options["n"]),
-                                      parse_player_list(options["set"]),
-                                      float(options["c"]))
-    if name == "majority":
-        want("n")
-        return games.make_majority(int(options["n"]))
-    if name == "linear-crosses":
-        want("c")
-        return games.make_linear_crosses(float(options["c"]))
-    if name == "product":
-        want("n")
-        return games.make_product(int(options["n"]))
-    raise ValueError(f"unknown builtin game {name!r} (have: unanimity, "
-                     "interaction, majority, linear-crosses, product)")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin game {name!r} (have: {', '.join(BUILTINS)})")
+    make, parsers = BUILTINS[name]
+    missing = [k for k in parsers if k not in options]
+    if missing:
+        raise ValueError(f"builtin {name!r} needs option(s): {missing}")
+    extra = [k for k in options if k not in parsers]
+    if extra:
+        raise ValueError(f"builtin {name!r} got unknown option(s): {extra}")
+    return make(*(parse(options[key]) for key, parse in parsers.items()))
 
 
 def _add_source_options(parser: argparse.ArgumentParser):

@@ -55,16 +55,8 @@ class PlayerSet:
         return cls(mask_from_ids(ids), n)
 
     @classmethod
-    def empty(cls, n: int) -> "PlayerSet":
-        return cls(0, n)
-
-    @classmethod
     def full(cls, n: int) -> "PlayerSet":
         return cls((1 << n) - 1, n)
-
-    @classmethod
-    def singleton(cls, i: int, n: int) -> "PlayerSet":
-        return cls(1 << i, n)
 
     @property
     def size(self) -> int:

@@ -2,10 +2,10 @@
 
 The Shapley-Taylor index of order k assigns a value to every subset of at
 most k players: sets smaller than k get their Mobius coefficient a(S), the
-discrete derivative at the empty set; a set S of size exactly k gets the
-sum of a(T) / C(|T|, k) over its supersets T.  `stv_permutation_oracle`
-recomputes the size-k case by literal enumeration of all n! orderings and
-exists purely as a cross-check.
+derivative at the empty set, read by `calculus.mobius_below` on every
+route; a set S of size exactly k gets the sum of a(T) / C(|T|, k) over
+its supersets T.  `stv_permutation_oracle` recomputes the size-k case by
+literal enumeration of all n! orderings and exists purely as a cross-check.
 
 The Shapley interaction index is the older alternative: the sum of
 a(T) / (|T| - |S| + 1) over supersets T.  It does not satisfy efficiency;
@@ -29,7 +29,6 @@ on numerics give measured errors and times.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -37,7 +36,7 @@ from math import comb, factorial, fsum
 
 import numpy as np
 
-from .calculus import (derivative, masks_of_size, mobius_dense, ordering_prefixes,
+from .calculus import (derivative, masks_of_size, mobius_below, ordering_prefixes,
                        superset_sum, superset_sums)
 from .games import (DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask,
                     mask_from_ids, spread_bits)
@@ -113,14 +112,6 @@ def require_result_size(what: str, n: int, k: int, targets: int | None = None,
                          f"at n={n}, k={k}")
 
 
-def _mobius_values(game: Game, sizes) -> dict[PlayerSet, float]:
-    """a(S) for every subset with a size in `sizes`: the derivative at empty."""
-    n = game.n
-    terms = game.derived.get("mobius_terms")
-    coefs = mobius_dense(game) if terms is None else defaultdict(float, terms)
-    return {PlayerSet(m, n): float(coefs[m]) for j in sizes for m in masks_of_size(n, j)}
-
-
 # each index's superset weight, one object per order so that `weight_table`
 # sets it up once: Shapley-Taylor 1 / C(|T|, k), interaction 1 / (|T| - |S| + 1)
 taylor_weight = cache(lambda k: lambda t: Fraction(1, comb(t, k)))
@@ -130,15 +121,14 @@ interaction_weight = cache(lambda s: lambda t: Fraction(1, t - s + 1))
 def stv_exact(game: Game, k: int) -> IndexResult:
     """Order-k Shapley-Taylor values for every subset of size 1..k.
 
-    Sizes below k get the Mobius coefficient a(S), the derivative at the
-    empty set; size k gets the sum of a(T) / C(|T|, k) over supersets T.
-    The result satisfies efficiency: the values sum to v(N) - v(0) up to
-    roundoff.
+    Sizes below k get the Mobius coefficient a(S) from `mobius_below`;
+    size k gets the sum of a(T) / C(|T|, k) over supersets T.  The result
+    satisfies efficiency: the values sum to v(N) - v(0) up to roundoff.
     """
     if not 1 <= k <= game.n:
         raise ValueError(f"order k must be in 1..{game.n}, got {k}")
     _require_dense(game, "exact index computation", k)
-    values = _mobius_values(game, range(1, k))
+    values = mobius_below(game, k)
     values.update(superset_sums(game, k, taylor_weight(k)))
     return IndexResult("stv", k, values, {"mode": "exact"})
 
@@ -162,7 +152,7 @@ def stv_permutation_oracle(game: Game, k: int) -> IndexResult:
             f"permutation oracle enumerates n! orderings; needs n <= {ORACLE_LIMIT}")
     if not 1 <= k <= n:
         raise ValueError(f"order k must be in 1..{n}, got {k}")
-    values = _mobius_values(game, range(1, k))
+    values = mobius_below(game, k)
     targets = list(masks_of_size(n, k))
     prefixes = ordering_prefixes(np.array(list(itertools.permutations(range(n)))), targets)
     for s_mask, column in zip(targets, prefixes.T):
@@ -218,8 +208,11 @@ def sii_main_effects(game: Game) -> IndexResult:
 
 
 def efficiency_residual(result: IndexResult, game: Game) -> float:
-    """Sum of all attribution values minus v(N) - v(0)."""
-    return result.total() - game.span()
+    """Sum of all attribution values minus v(N) - v(0), which for recorded
+    Mobius terms is the exactly rounded sum of the nonempty ones."""
+    terms = game.derived.get("mobius_terms")
+    span = game.span() if terms is None else fsum(c for m, c in terms if m)
+    return result.total() - span
 
 
 def restrict_players(game: Game, keep, fill: str = "baseline") -> Game:

@@ -25,9 +25,9 @@ from math import fsum
 
 import numpy as np
 
-from .calculus import masks_of_size, mobius_dense, superset_sum, superset_view
+from .calculus import masks_of_size, mobius_below, mobius_dense, superset_sum, superset_view
 from .games import Game, PlayerSet, as_mask, popcounts
-from .indices import _mobius_values, stv_exact, taylor_weight
+from .indices import stv_exact, taylor_weight
 
 TAYLOR_LIMIT = 20
 
@@ -152,7 +152,7 @@ def taylor_identity_check(game: Game, k: int,
     if remainder_mode == "analytic":
         values = stv_exact(game, k).values
     else:
-        values = _mobius_values(game, range(1, k))
+        values = mobius_below(game, k)
         values.update((PlayerSet(m, n), lagrange_remainder_term(game, m, k, remainder_mode))
                       for m in masks_of_size(n, k))
     lower_terms = [v for pset, v in values.items() if pset.size < k]

@@ -3,9 +3,9 @@
 For a size-k target set, each sample draws a uniformly random player
 ordering and takes the discrete derivative at the set of players
 preceding all target members; the estimator is the mean over m draws.
-Sets smaller than k do not depend on the ordering and are returned
-exactly.  Works up to n = 64 and never touches a dense table, so it is
-the route for external evaluators.
+Sets smaller than k do not depend on the ordering and get their Mobius
+coefficients exactly, read as in `stv_exact`.  Works up to n = 64 and
+never touches a dense table, so it is the route for external evaluators.
 
 Permutations come from a counter-based generator (Philox, 64-bit keys):
 the permutation for sample i is keyed by (seed, stream, i), and per-target
@@ -29,8 +29,8 @@ from operator import or_
 
 import numpy as np
 
-from .calculus import derivative, masks_of_size, ordering_prefixes
-from .games import DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask, spread_bits
+from .calculus import derivative, masks_of_size, mobius_below, ordering_prefixes
+from .games import DENSE_LIMIT, Game, PlayerSet, as_mask, ids_from_mask
 from .indices import IndexResult, require_result_size
 
 _MASK64 = (1 << 64) - 1
@@ -144,11 +144,11 @@ def _draw_matrix(game: Game, target_masks, m: int, seed: int,
 def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet, float]]:
     """The size-k target masks, and the exact value of every smaller set.
 
-    Sets below size k do not depend on the ordering: each gets its
-    derivative at the empty set.  With targets given, only the players
-    they mention are in scope.  Before any work, refuses an order past the
+    Sets below size k do not depend on the ordering: each gets its Mobius
+    coefficient from `mobius_below`, over the players the targets mention
+    when targets are given.  Before any work, refuses an order past the
     derivative guard, a result of more than 2^24 sets, and lower-order
-    derivatives that take more than 2^24 evaluations (2^j per size-j set).
+    derivatives of more than 2^24 terms in all (2^j per size-j set).
     """
     n = game.n
     if not 1 <= k <= n:
@@ -173,12 +173,7 @@ def _exact_part(game: Game, k: int, targets) -> tuple[list[int], dict[PlayerSet,
     if evaluations > 1 << DENSE_LIMIT:
         raise ValueError(f"lower-order derivatives need {evaluations} evaluations, "
                          f"more than 2^{DENSE_LIMIT}")
-    values: dict[PlayerSet, float] = {}
-    for j in range(1, k):
-        s_masks = spread_bits(np.fromiter(masks_of_size(len(scope), j), np.uint64), scope)
-        for s_mask, val in zip(s_masks.tolist(), derivative(game, s_masks, 0).tolist()):
-            values[PlayerSet(s_mask, n)] = val
-    return target_masks, values
+    return target_masks, mobius_below(game, k, scope)
 
 
 def _estimate_range(game: Game, target_masks, seed: int) -> float:
@@ -195,10 +190,10 @@ def stv_sampled(game: Game, k: int, plan: SamplingPlan) -> IndexResult:
     """Sampled order-k Shapley-Taylor values per the plan.
 
     Size-k sets get the mean derivative over m seeded random orderings;
-    sets below size k are ordering-independent and returned exactly.  When
-    targets are restricted, the lower-order sweep covers just the players
-    those targets mention.  Identical (plan, seed) input reproduces the
-    result bit for bit.
+    sets below size k get their Mobius coefficients, as in `stv_exact`.
+    When targets are restricted, the lower-order sets cover just the
+    players those targets mention.  Identical (plan, seed) input
+    reproduces the result bit for bit.
     """
     target_masks, values = _exact_part(game, k, plan.targets)
     range_bound = plan.range_bound

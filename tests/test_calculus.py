@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_masks_of_size, derivative_recursive, interaction_weight,
-                     mobius_sums_fractions, prefix_before, random_tabular,
-                     superset_sums_full_butterfly, taylor_weight)
+                     mobius_sums_fractions, prefix_before, random_mobius_terms,
+                     random_tabular, superset_sums_full_butterfly, taylor_weight)
 from interax import (calculus, combine, discrete_derivative, make_interaction,
                      make_linear_crosses, make_majority, make_mobius_game, make_tabular,
                      make_unanimity, mobius_derivative_relation, mobius_transform)
-from interax.calculus import (iter_submasks, masks_of_size, mobius_dense,
-                              ordering_prefixes, superset_sum, superset_sums)
+from interax.calculus import (derivative, iter_submasks, masks_of_size, mobius_below,
+                              mobius_dense, ordering_prefixes, superset_sum,
+                              superset_sums)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -166,6 +167,50 @@ class TestMobiusDerivativeRelation:
         g = make_unanimity(3, [0])
         with pytest.raises(ValueError):
             mobius_derivative_relation(g, [0], [0, 1])
+
+    def test_recorded_terms_are_the_left_side(self):
+        # differencing the values of this game gives 0.30000000000000004
+        g = make_mobius_game(2, {0b01: 0.1, 0b10: 0.2, 0b11: 0.3})
+        lhs, rhs = mobius_derivative_relation(g, [0], [1])
+        assert lhs == 0.3
+        assert rhs == pytest.approx(0.3, abs=1e-15)
+
+
+class TestMobiusBelow:
+    @staticmethod
+    def wide_tabular(rng, n):
+        return make_tabular(n, rng.normal(size=1 << n) * 10.0 ** rng.uniform(-3, 5, 1 << n))
+
+    def test_equals_the_dense_transform_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 13):
+            for g in (self.wide_tabular(rng, n), make_majority(n)):
+                dense = mobius_dense(g)
+                for k in range(2, min(n, 3) + 2):
+                    got = mobius_below(g, k)
+                    assert [s.bits for s in got] == [m for size in range(1, k)
+                                                     for m in masks_of_size(n, size)]
+                    assert [v.hex() for v in got.values()] == \
+                        [float(dense[s.bits]).hex() for s in got]
+
+    def test_scope_gives_the_derivatives_at_the_empty_set(self):
+        rng = np.random.default_rng(16)
+        g = self.wide_tabular(rng, 9)
+        scope = (1, 4, 5, 8)
+        got = mobius_below(g, 4, scope)
+        inside = [m for m in range(1, 1 << 9)
+                  if m.bit_count() < 4 and all(p in scope for p in range(9) if m >> p & 1)]
+        assert sorted(s.bits for s in got) == inside
+        for s, v in got.items():
+            assert v.hex() == float(derivative(g, s.bits, 0)).hex()
+
+    def test_recorded_terms_are_read(self):
+        terms = random_mobius_terms(np.random.default_rng(17), 64, max_size=3)
+        g = make_mobius_game(64, terms)
+        got = mobius_below(g, 3)
+        assert len(got) == 64 + 64 * 63 // 2
+        assert all(v == terms.get(s.bits, 0.0) for s, v in got.items())
+        assert "dense_table" not in g.derived
 
 
 class TestIterationHelpers:

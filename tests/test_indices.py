@@ -3,6 +3,8 @@ from math import comb, fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (all_masks_of_size, interaction_weight, mobius_sums_fractions,
                      random_mobius_terms, random_tabular, shapley_by_orderings,
@@ -15,9 +17,24 @@ from interax import (IndexResult, PlayerSet, combine, efficiency_residual,
                      sii_main_effects, stv_exact, stv_permutation_oracle)
 from interax import axioms
 from interax.analysis import majority_sii_by_size
-from interax.axioms import EFFICIENCY_TOL, run_axiom_checks
+from interax.axioms import EFFICIENCY_TOL, SYMMETRY_TOL, run_axiom_checks
 from interax.calculus import superset_sum, superset_sums
 from interax.games import DENSE_LIMIT, from_function, relabel
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+# (n, k, seed, sparse): a random game on n players, tabular or with up to
+# 12 recorded Mobius terms, and an order k
+INDEX_CASES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(n, 3)), st.integers(0, 2 ** 32 - 1), st.booleans()))
+
+
+def random_game(n, seed, sparse):
+    rng = np.random.default_rng(seed)
+    if not sparse:
+        return random_tabular(rng, n)
+    return make_mobius_game(n, random_mobius_terms(rng, n, min(12, (1 << n) - 1),
+                                                   min(n, 4)))
 
 
 class TestShapley:
@@ -151,6 +168,15 @@ class TestPermutationOracle:
     def test_factorial_guard(self):
         with pytest.raises(ValueError):
             stv_permutation_oracle(make_product(9), 2)
+
+    def test_each_subset_is_evaluated_once(self):
+        table = np.random.default_rng(8).normal(size=256)
+        for index in (stv_exact, stv_permutation_oracle):
+            for k in (1, 2, 3):
+                seen = []
+                g = from_function(8, lambda m: seen.append(m) or float(table[m]))
+                index(g, k)
+                assert sorted(seen) == list(range(256))
 
 
 class TestSii:
@@ -422,6 +448,37 @@ class TestEfficiencyResidual:
             values[PlayerSet.from_ids(pair, 3)] = sii_exact(g, pair)
         result = IndexResult("sii", 2, values)
         assert efficiency_residual(result, g) == pytest.approx(c / 2, abs=1e-10)
+
+
+    def test_recorded_terms_are_summed_exactly(self):
+        # the span adds the terms in float, 1.0 + 1e-16 + 1e-16 = 1.0; the
+        # exact sum and the index total round to 1.0000000000000002
+        g = make_mobius_game(3, {1: 1.0, 2: 1e-16, 4: 1e-16})
+        for k in (1, 2, 3):
+            result = stv_exact(g, k)
+            assert efficiency_residual(result, g) == 0.0
+            assert axioms.check_efficiency(g, result).worst_error == 0.0
+
+
+class TestIndexProperties:
+    @PROPERTY
+    @given(INDEX_CASES)
+    def test_efficiency(self, case):
+        n, k, seed, sparse = case
+        g = random_game(n, seed, sparse)
+        residual = efficiency_residual(stv_exact(g, k), g)
+        assert abs(residual) <= EFFICIENCY_TOL * max(1.0, abs(g.span()))
+
+    @PROPERTY
+    @given(INDEX_CASES)
+    def test_symmetry_under_relabel(self, case):
+        n, k, seed, sparse = case
+        g = random_game(n, seed, sparse)
+        perm = [int(p) for p in np.random.default_rng(seed).permutation(n)]
+        imaged = stv_exact(relabel(g, perm), k).values
+        for pset, val in stv_exact(g, k).values.items():
+            image = sum(1 << perm[i] for i in pset.members())
+            assert abs(imaged[PlayerSet(image, n)] - val) <= SYMMETRY_TOL
 
 
 class TestRestrictPlayers:

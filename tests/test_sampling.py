@@ -139,6 +139,24 @@ class TestStvSampled:
         singles = [s for s in result.values if s.size == 1]
         assert sorted(s.bits for s in singles) == [1, 2, 4]
 
+    def test_lower_orders_are_the_exact_values(self):
+        # the sampler reads the same a(S) as stv_exact: recorded terms for
+        # the Mobius game, derivatives at the empty set for the table
+        n = 24
+        terms = random_mobius_terms(np.random.default_rng(3), n, max_size=4)
+        mobius, table = make_mobius_game(n, terms), random_tabular(np.random.default_rng(4), 10)
+        for g in (mobius, table):
+            exact = stv_exact(g, 3).values
+            targets = (PlayerSet(0b111, g.n), PlayerSet(0b1110000, g.n))
+            for result in (stv_sampled(g, 3, SamplingPlan.from_samples(4, seed=5)),
+                           stv_sampled_mom(g, 3, 3, 2, seed=6),
+                           stv_sampled(g, 3, SamplingPlan.from_samples(4, 7, targets))):
+                lower = {s: v for s, v in result.values.items() if s.size < 3}
+                assert len(lower) in (6 + 15, g.n + g.n * (g.n - 1) // 2)
+                assert [v.hex() for v in lower.values()] == [exact[s].hex() for s in lower]
+                if g is mobius:
+                    assert all(v == terms.get(s.bits, 0.0) for s, v in lower.items())
+
     def test_large_n_stays_sparse(self):
         g = make_unanimity(64, [0, 63])
         plan = SamplingPlan.from_samples(
